@@ -1,0 +1,7 @@
+"""Make the benchmark modules and the program importable from the tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
