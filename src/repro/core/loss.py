@@ -133,8 +133,17 @@ def bipartite_graph_loss(
 
 
 def _repeat_rows(t: Tensor, reps: int) -> Tensor:
-    """Tile a (B, d) tensor to (B * reps, d) preserving gradients."""
+    """Tile a (B, d) tensor to (B * reps, d) preserving gradients.
+
+    Row ``r * B + b`` is a copy of row ``b``, so the backward pass folds
+    the ``reps`` gradient blocks back with one reshaped sum instead of a
+    scatter — the same sequential additions, in the same order.
+    """
     if reps <= 1:
         return t
-    idx = np.tile(np.arange(t.shape[0]), reps)
-    return t.gather_rows(idx)
+
+    def backward(grad: np.ndarray) -> None:
+        if t.requires_grad:
+            t._accumulate(grad.reshape(reps, *t.shape).sum(axis=0), owned=True)
+
+    return Tensor._make(np.tile(t.data, (reps, 1)), (t,), backward)

@@ -7,31 +7,32 @@ Each side owns its aggregators, per-step weight matrices ``W_u^p`` /
 matrices across both sides (Eqs. 8–11); enable it with
 ``SageConfig.shared_space=True`` (requires equal feature dimensions).
 
-Mini-batch computation follows the standard GraphSAGE recipe: to embed
-a batch at step ``p`` we recursively embed its sampled neighbours at
-step ``p-1`` down to the raw features at step 0, with fan-outs
-``K_1, ..., K_P`` (the K's of the paper's complexity analysis,
-Section III-D).
-
-Two hot-path optimisations keep this tractable at scale (Section III-D;
+Two hot-path layouts keep this tractable at scale (Section III-D;
 cf. Cascade-BGNN's redundancy elimination):
 
-* **Frontier deduplication** — at every recursion level the flattened
-  id frontier is reduced to its unique vertices with ``np.unique``;
-  each unique vertex is embedded once and the rows are scattered back
-  through the inverse index.  Popular vertices appear many times in a
-  ``K_1 x K_2`` frontier, so this cuts forward *and* backward FLOPs
-  superlinearly with graph skew.  The naive recursion is retained
-  (``dedup=False``) as the reference for equivalence tests and the
-  hot-path benchmark.
+* **Block mini-batch step** — :meth:`embed_block` is handed every id a
+  training batch needs on each side (positives and negatives together)
+  and plans the standard GraphSAGE "blocks" top-down: the deduplicated
+  frontier of each (side, step) from step ``P`` down to the raw features
+  at step 0, with one neighbour draw per (side, step) at fan-outs
+  ``K_1, ..., K_P`` (the K's of the paper's complexity analysis) — so
+  ``2·P`` draws per batch.  It then computes each step's user and item
+  matrices once, bottom-up, and gathers the requested rows.  Popular
+  vertices appear many times across a batch's receptive fields; each is
+  embedded once per step, which cuts forward *and* backward FLOPs
+  superlinearly with graph skew.  The per-occurrence recursion
+  :meth:`_embed_naive` is retained as the reference for equivalence
+  tests and the hot-path benchmark.
 * **Layer-wise full-graph inference** — :meth:`embed_all` computes the
   step-``p`` matrices for *all* vertices from the cached step-``p-1``
   matrices, one pass per step, instead of re-expanding the whole
-  receptive field per batch.  The sampled recursive path remains the
-  training path (it builds the autograd graph).
+  receptive field per batch.  The block step remains the training path
+  (it builds the autograd graph).
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -71,17 +72,50 @@ _NP_ACTIVATIONS = {
 
 def _np_aggregate(stacked: np.ndarray, valid: np.ndarray, agg: str) -> np.ndarray:
     """Numpy mirror of :meth:`BipartiteGraphSAGE._aggregate`."""
-    maskf = valid.astype(float)[:, :, None]
-    if agg in ("mean", "weighted_mean"):
-        counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
-        return (stacked * maskf).sum(axis=1) * (1.0 / counts)
-    if agg == "sum":
-        return (stacked * maskf).sum(axis=1)
+    all_valid = valid.all()
     if agg == "max":
+        if all_valid:
+            return stacked.max(axis=1)
         masked = np.where(valid[:, :, None], stacked, np.full(stacked.shape, -1e30))
         any_valid = valid.any(axis=1)[:, None].astype(float)
         return masked.max(axis=1) * any_valid
-    raise ValueError(f"unknown aggregator {agg!r}")
+    if agg not in ("mean", "weighted_mean", "sum"):
+        raise ValueError(f"unknown aggregator {agg!r}")
+    masked = stacked if all_valid else stacked * valid.astype(float)[:, :, None]
+    summed = masked.sum(axis=1)
+    if agg == "sum":
+        return summed
+    counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
+    return summed * (1.0 / counts)
+
+
+_SIDES = ("user", "item")
+
+
+def _frontier(id_arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Sorted unique ids across ``id_arrays``; -1 (padding) maps to 0.
+
+    Mapping padding onto a real vertex keeps every lookup in range; the
+    padded rows are masked out by their consumers.
+    """
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *(np.ravel(a) for a in id_arrays)])
+    return np.unique(np.where(ids >= 0, ids, 0))
+
+
+def _rows(h: Tensor, frontier: np.ndarray, ids: np.ndarray) -> Tensor:
+    """Rows of ``h`` (indexed by the sorted ``frontier``) for ``ids``.
+
+    ``ids`` may be any shape; rows come back flat in its order, with -1
+    ids reading vertex 0's row (callers mask them).
+    """
+    flat = ids.reshape(-1)
+    return h.gather_rows(np.searchsorted(frontier, np.where(flat >= 0, flat, 0)))
+
+
+def _zero_padding(rows: Tensor, ids: np.ndarray) -> Tensor:
+    """Zero the rows of -1 ids (skipped when there are none)."""
+    mask = ids >= 0
+    return rows if mask.all() else rows * mask[:, None].astype(float)
 
 
 def _sharded_shard_task(task: tuple, context: tuple) -> int:
@@ -210,20 +244,83 @@ class BipartiteGraphSAGE(Module):
         # the recursion previously rebuilt a sampler at every step.
         self._sampler_cache: tuple[BipartiteGraph, NeighborSampler] | None = None
         self._shard_sampler_cache: tuple | None = None
-        # Frontier deduplication toggle; the benchmark harness flips it
-        # off to time the naive recursion.
-        self.dedup_frontier = True
 
     # ------------------------------------------------------------------
     # Embedding computation
     # ------------------------------------------------------------------
     def embed_users(self, graph: BipartiteGraph, user_ids: np.ndarray) -> Tensor:
         """Final user embeddings z_u for ``user_ids`` (builds autograd graph)."""
-        return self._embed(graph, np.asarray(user_ids), self.config.num_steps, "user")
+        return self.embed_block(graph, users=[user_ids])[0][0]
 
     def embed_items(self, graph: BipartiteGraph, item_ids: np.ndarray) -> Tensor:
         """Final item embeddings z_i for ``item_ids`` (builds autograd graph)."""
-        return self._embed(graph, np.asarray(item_ids), self.config.num_steps, "item")
+        return self.embed_block(graph, items=[item_ids])[1][0]
+
+    def embed_block(
+        self,
+        graph: BipartiteGraph,
+        users: Sequence[np.ndarray] = (),
+        items: Sequence[np.ndarray] = (),
+    ) -> tuple[list[Tensor], list[Tensor]]:
+        """Final embeddings for several id requests per side, as one block.
+
+        ``users`` / ``items`` list every id array a mini-batch needs on
+        that side (e.g. its positives and its negatives); one
+        :class:`Tensor` per request comes back, in order, and -1 ids
+        give zero rows.  The requests share one deduplicated frontier per
+        (side, step), one neighbour draw per (side, step) and one
+        step-``p`` matrix per side, so each vertex is embedded once per
+        step however many requests reach it.
+        """
+        cfg = self.config
+        steps = cfg.num_steps
+        requests = {
+            "user": [np.asarray(ids, dtype=np.int64) for ids in users],
+            "item": [np.asarray(ids, dtype=np.int64) for ids in items],
+        }
+        # Top-down plan: frontiers[p] holds the step-p vertex ids of each
+        # side; draws[p] the neighbours sampled for them (step p >= 1).
+        frontiers = {steps: {side: _frontier(reqs) for side, reqs in requests.items()}}
+        draws = {}
+        sampler = self._sampler(graph)
+        for step in range(steps, 0, -1):
+            fanout = cfg.neighbor_samples[steps - step]
+            top = frontiers[step]
+            for side in _SIDES:
+                counter_add("sage.vertices_embedded", len(top[side]))
+                if len(top[side]):
+                    observe("sage.frontier_size", len(top[side]))
+            draws[step] = {
+                "user": sampler.sample_items_for_users(top["user"], fanout),
+                "item": sampler.sample_users_for_items(top["item"], fanout),
+            }
+            frontiers[step - 1] = {
+                "user": _frontier([top["user"], draws[step]["item"]]),
+                "item": _frontier([top["item"], draws[step]["user"]]),
+            }
+
+        # Bottom-up: every step's matrices once, from the step below.
+        h = {
+            side: Tensor(self._features(graph, side)[frontiers[0][side]])
+            for side in _SIDES
+        }
+        for step in range(1, steps + 1):
+            below, top = frontiers[step - 1], frontiers[step]
+            h = {
+                side: self._layer(
+                    step,
+                    side,
+                    _rows(h[side], below[side], top[side]),
+                    _rows(h[other], below[other], draws[step][side]),
+                    draws[step][side] >= 0,
+                )
+                for side, other in (("user", "item"), ("item", "user"))
+            }
+        top = frontiers[steps]
+        return tuple(
+            [_zero_padding(_rows(h[side], top[side], ids), ids) for ids in requests[side]]
+            for side in _SIDES
+        )
 
     def embed_all(
         self,
@@ -411,60 +508,22 @@ class BipartiteGraphSAGE(Module):
             return self.user_transform[step - 1], self.user_weight[step - 1]
         return self.item_transform[step - 1], self.item_weight[step - 1]
 
-    def _embed(
+    def _layer(
         self,
-        graph: BipartiteGraph,
-        ids: np.ndarray,
         step: int,
         side: str,
-        dedup: bool | None = None,
+        own_prev: Tensor,
+        neigh_prev: Tensor,
+        valid: np.ndarray,
     ) -> Tensor:
-        """h^step for ``ids`` on ``side``; -1 ids produce zero rows.
+        """One step of Eqs. 1–4 from gathered step-``step - 1`` rows.
 
-        The default path embeds each *unique* id once and scatters rows
-        back through the inverse index; ``dedup=False`` selects the
-        naive per-occurrence recursion (reference implementation).
+        ``own_prev`` holds the vertices' own rows (the CONCAT left
+        operand); ``neigh_prev`` their sampled neighbours' rows, flat in
+        ``valid``'s (n, K) order.
         """
-        if dedup is None:
-            dedup = self.dedup_frontier
-        ids = np.asarray(ids)
-        if not dedup:
-            counter_add("sage.vertices_embedded", len(ids))
-            observe("sage.frontier_size", len(ids))
-            return self._embed_naive(graph, ids, step, side)
-        mask = ids >= 0
-        safe = np.where(mask, ids, 0)
-        unique, inverse = np.unique(safe, return_inverse=True)
-        counter_add("sage.vertices_embedded", len(unique))
-        observe("sage.frontier_size", len(unique))
-        out = self._embed_frontier(graph, unique, step, side).gather_rows(inverse)
-        if not mask.all():
-            out = out * mask[:, None].astype(float)
-        return out
-
-    def _embed_frontier(
-        self, graph: BipartiteGraph, ids: np.ndarray, step: int, side: str
-    ) -> Tensor:
-        """h^step for a frontier of unique, valid ids on ``side``."""
-        cfg = self.config
-        if step == 0:
-            return Tensor(self._features(graph, side)[ids])
-
-        # Own embedding at the previous step (the CONCAT left operand).
-        own_prev = self._embed_frontier(graph, ids, step - 1, side)
-
-        # Sampled neighbour embeddings at the previous step.
-        fanout = cfg.neighbor_samples[cfg.num_steps - step]
-        sampler = self._sampler(graph)
-        if side == "user":
-            neigh = sampler.sample_items_for_users(ids, fanout)
-        else:
-            neigh = sampler.sample_users_for_items(ids, fanout)
-        other = "item" if side == "user" else "user"
-        flat = self._embed(graph, neigh.reshape(-1), step - 1, other)
-        stacked = flat.reshape(len(ids), fanout, flat.shape[1])
-        aggregated = self._aggregate(stacked, neigh >= 0)
-
+        stacked = neigh_prev.reshape(valid.shape[0], valid.shape[1], neigh_prev.shape[1])
+        aggregated = self._aggregate(stacked, valid)
         transform, weight = self._step_modules(step, side)
         transformed = transform(aggregated)  # Eq. 1 / Eq. 2
         combined = concat([own_prev, transformed], axis=-1)
@@ -475,6 +534,7 @@ class BipartiteGraphSAGE(Module):
     ) -> Tensor:
         """Reference recursion: every frontier occurrence embedded anew."""
         cfg = self.config
+        ids = np.asarray(ids)
         mask = ids >= 0
         safe = np.where(mask, ids, 0)
 
@@ -494,16 +554,7 @@ class BipartiteGraphSAGE(Module):
         neigh[~mask] = -1
         other = "item" if side == "user" else "user"
         flat = self._embed_naive(graph, neigh.reshape(-1), step - 1, other)
-        stacked = flat.reshape(len(ids), fanout, flat.shape[1])
-        aggregated = self._aggregate(stacked, neigh >= 0)
-
-        transform, weight = self._step_modules(step, side)
-        transformed = transform(aggregated)  # Eq. 1 / Eq. 2
-        combined = concat([own_prev, transformed], axis=-1)
-        out = self.activation(weight(combined))  # Eq. 3 / Eq. 4
-        if not mask.all():
-            out = out * mask[:, None].astype(float)
-        return out
+        return _zero_padding(self._layer(step, side, own_prev, flat, neigh >= 0), ids)
 
     # ------------------------------------------------------------------
     # Layer-wise full-graph inference
@@ -748,19 +799,22 @@ class BipartiteGraphSAGE(Module):
         entries are padding for isolated vertices).
         """
         agg = self.config.aggregator
-        maskf = valid.astype(float)[:, :, None]
-        if agg in ("mean", "weighted_mean"):
-            # weighted_mean differs only in how neighbours are *sampled*
-            # (importance sampling by edge weight happens upstream).
-            counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
-            summed = (stacked * maskf).sum(axis=1)
-            return summed * (1.0 / counts)
-        if agg == "sum":
-            return (stacked * maskf).sum(axis=1)
+        # Masking with all-ones is exact, so it is skipped when every
+        # slot is valid (the common case: isolated vertices are rare).
+        all_valid = valid.all()
         if agg == "max":
+            if all_valid:
+                return stacked.max(axis=1)
             neg_inf = Tensor(np.full(stacked.shape, -1e30))
-            masked = where(valid[:, :, None], stacked, neg_inf)
-            out = masked.max(axis=1)
-            any_valid = valid.any(axis=1)[:, None].astype(float)
-            return out * any_valid
-        raise ValueError(f"unknown aggregator {agg!r}")
+            out = where(valid[:, :, None], stacked, neg_inf).max(axis=1)
+            return out * valid.any(axis=1)[:, None].astype(float)
+        if agg not in ("mean", "weighted_mean", "sum"):
+            raise ValueError(f"unknown aggregator {agg!r}")
+        masked = stacked if all_valid else stacked * valid.astype(float)[:, :, None]
+        summed = masked.sum(axis=1)
+        if agg == "sum":
+            return summed
+        # weighted_mean differs only in how neighbours are *sampled*
+        # (importance sampling by edge weight happens upstream).
+        counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
+        return summed * (1.0 / counts)

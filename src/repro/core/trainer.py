@@ -1,8 +1,9 @@
 """Unsupervised training loop for bipartite GraphSAGE (Section III-B).
 
 One epoch visits every edge once in shuffled mini-batches.  For each
-batch the trainer embeds the positive users/items, draws Q_u negative
-users and Q_i negative items from P_n, and minimises J_BG with the
+batch the trainer draws Q_u negative users and Q_i negative items from
+P_n, embeds positives and negatives together as one GraphSAGE block
+(:meth:`BipartiteGraphSAGE.embed_block`), and minimises J_BG with the
 optimiser named in :class:`repro.utils.config.TrainConfig`.
 """
 
@@ -110,13 +111,13 @@ class SageTrainer:
     def _step(self, users: np.ndarray, items: np.ndarray, weights: np.ndarray) -> float:
         cfg = self.module.config
         batch = len(users)
-        z_users = self.module.embed_users(self.graph, users)
-        z_items = self.module.embed_items(self.graph, items)
-
         neg_users = self.negative_sampler.sample_users(batch * cfg.negative_samples_user)
         neg_items = self.negative_sampler.sample_items(batch * cfg.negative_samples_item)
-        z_neg_users = self.module.embed_users(self.graph, neg_users)
-        z_neg_items = self.module.embed_items(self.graph, neg_items)
+        # One block per batch: positives and negatives share each side's
+        # frontiers, neighbour draws and step matrices.
+        (z_users, z_neg_users), (z_items, z_neg_items) = self.module.embed_block(
+            self.graph, users=[users, neg_users], items=[items, neg_items]
+        )
 
         loss = bipartite_graph_loss(
             self.head,

@@ -539,11 +539,24 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, idx, grad)
-                self._accumulate(full, owned=True)
+                self._accumulate(_scatter_rows(idx, grad, self.data.shape), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
+
+
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``np.add.at(np.zeros(shape), idx, rows)`` as one flat ``np.bincount``.
+
+    ``bincount`` adds each weight into its bin in input order — the same
+    sequential order ``np.add.at`` uses — so the result is bitwise equal,
+    at a fraction of the cost of the ``ufunc.at`` loop.
+    """
+    n = shape[0]
+    width = int(np.prod(shape[1:], dtype=np.int64))
+    idx = np.where(idx < 0, idx + n, idx)
+    flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    summed = np.bincount(flat, weights=rows.reshape(-1), minlength=n * width)
+    return summed.reshape(shape)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:

@@ -40,12 +40,14 @@ Schema v3 adds two sections plus a ``cpu_count`` stamp:
 
 Schema v4 adds the ``shard`` section and two honesty columns on the
 ``parallel`` rows (``workers_effective``, ``degraded``) so a speedup of
-≤ 1 on a single-core box is machine-attributable.  The ``shard`` rows
-compare dense in-memory layer-wise inference against the out-of-core
-sharded path over :class:`~repro.shard.storage.ShardedCSR` blocks: an
-in-process smoke world in every mode, plus (``full`` mode only) a
-streamed million-vertex world measured in subprocess children so each
-side's peak RSS is isolated.
+≤ 1 is machine-attributable: a row is ``degraded`` when it asks for
+more workers than the process's usable cores (its CPU affinity mask).
+The ``shard`` rows compare dense in-memory layer-wise inference against
+the out-of-core sharded path over
+:class:`~repro.shard.storage.ShardedCSR` blocks: an in-process smoke
+world in every mode, plus (``full`` mode only) a streamed
+million-vertex world measured in subprocess children so each side's
+peak RSS is isolated.  The shard rows carry ``degraded`` too.
 
 Schema v5 adds a top-level ``telemetry`` stamp (the resource-sampler
 interval and where peak-RSS figures come from) and switches the shard
@@ -201,6 +203,12 @@ def _best_of(fn: Callable[[], Any], repeats: int) -> float:
     return best
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, not the host's
+    count.  Rows asking for more workers are flagged ``degraded``."""
+    return len(os.sched_getaffinity(0))
+
+
 def git_commit() -> str | None:
     """The current commit hash, or None outside a git checkout."""
     try:
@@ -252,24 +260,46 @@ def _sage_module(graph, seed: int):
     )
 
 
+def _naive_embed_all(module, graph, batch_size: int = 2048) -> None:
+    """``embed_all(mode="recursive")`` through the per-occurrence
+    reference recursion ``_embed_naive`` (the "before" of both SAGE rows)."""
+    from repro.nn.tensor import no_grad
+
+    steps = module.config.num_steps
+    with no_grad():
+        for side, n in (("user", graph.num_users), ("item", graph.num_items)):
+            for start in range(0, n, batch_size):
+                ids = np.arange(start, min(start + batch_size, n))
+                module._embed_naive(graph, ids, steps, side)
+
+
+def _naive_block(module) -> None:
+    """Route ``module.embed_block`` through ``_embed_naive``: one
+    independent per-occurrence recursion per request."""
+    steps = module.config.num_steps
+
+    def embed_block(graph, users=(), items=()):
+        return (
+            [module._embed_naive(graph, np.asarray(ids), steps, "user") for ids in users],
+            [module._embed_naive(graph, np.asarray(ids), steps, "item") for ids in items],
+        )
+
+    module.embed_block = embed_block
+
+
 def _bench_embed_all(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
+    """Full-graph inference: naive recursion (``before``), the block
+    recursion of ``mode="recursive"`` (``recursive_dedup_s``) and the
+    layer-wise pass (``after``)."""
     rows = []
     for size in GRAPH_SIZES[mode]:
         graph = _graph(size, feature_dim=8, seed=seed)
         module = _sage_module(graph, seed)
-
-        def run(embed_mode: str, dedup: bool):
-            module.dedup_frontier = dedup
-            try:
-                module.embed_all(graph, mode=embed_mode)
-            finally:
-                module.dedup_frontier = True
-
-        before = _best_of(lambda: run("recursive", False), repeats)
-        dedup = _best_of(lambda: run("recursive", True), repeats)
-        after = _best_of(lambda: run("layerwise", True), repeats)
+        before = _best_of(lambda: _naive_embed_all(module, graph), repeats)
+        dedup = _best_of(lambda: module.embed_all(graph, mode="recursive"), repeats)
+        after = _best_of(lambda: module.embed_all(graph), repeats)
         vertices = _counter_during(
-            lambda: run("layerwise", True), "sage.vertices_embedded"
+            lambda: module.embed_all(graph), "sage.vertices_embedded"
         )
         rows.append(
             {
@@ -286,6 +316,10 @@ def _bench_embed_all(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]
 
 
 def _bench_train_epoch(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
+    """One training epoch: ``before`` embeds each of a batch's four
+    requests (positive/negative users/items) by its own naive recursion;
+    ``after`` is the block step, which embeds them together with one
+    neighbour draw per (side, step)."""
     from repro.core.trainer import SageTrainer
     from repro.utils.config import TrainConfig
 
@@ -293,14 +327,15 @@ def _bench_train_epoch(mode: str, seed: int, repeats: int) -> list[dict[str, Any
     graph = _graph(size, feature_dim=8, seed=seed)
     tcfg = TrainConfig(epochs=1, batch_size=512)
 
-    def run(dedup: bool) -> None:
+    def run(naive: bool) -> None:
         module = _sage_module(graph, seed)
-        module.dedup_frontier = dedup
+        if naive:
+            _naive_block(module)
         SageTrainer(module, graph, tcfg, rng=seed).fit()
 
-    before = _best_of(lambda: run(False), repeats)
-    after = _best_of(lambda: run(True), repeats)
-    edges = _counter_during(lambda: run(True), "train.edges_seen")
+    before = _best_of(lambda: run(True), repeats)
+    after = _best_of(lambda: run(False), repeats)
+    edges = _counter_during(lambda: run(False), "train.edges_seen")
     return [
         {
             "graph": _graph_meta(size),
@@ -443,9 +478,10 @@ def _bench_parallel(
     """The pool-backed hot paths at ``workers=1`` vs ``workers=N``.
 
     Same seeded workload both times — the outputs are bitwise equal by
-    design, so the rows compare cost only.  On machines where
-    ``os.cpu_count()`` is 1 the parallel row is expected to be *slower*
-    (IPC with no extra cores); the report records it honestly.
+    design, so the rows compare cost only.  Rows asking for more workers
+    than this process may run on (``os.sched_getaffinity``) are flagged
+    ``degraded``: the pool oversubscribes the cores, the timing follows
+    the scheduler, and :func:`check_report` skips the row.
     """
     from repro.clustering.kmeans import kmeans
     from repro.prediction.cvr_model import CVRModel
@@ -453,9 +489,9 @@ def _bench_parallel(
     from repro.serving.pipeline import cvr_score_table
     from repro.utils.config import KMeansConfig
 
-    cpu_count = os.cpu_count() or 1
-    workers_effective = min(workers, cpu_count)
-    degraded = cpu_count == 1
+    usable = _usable_cores()
+    workers_effective = min(workers, usable)
+    degraded = workers > usable
     rows = []
 
     size = GRAPH_SIZES[mode][-1]
@@ -643,6 +679,7 @@ def _bench_shard(
                     },
                     "num_shards": spec["shards"],
                     "workers": workers,
+                    "degraded": workers > _usable_cores(),
                     "build_s": sharded["build_s"],
                     "edges_shard_local": sharded["edges_shard_local"],
                     "before_s": dense["embed_s"],
@@ -716,6 +753,7 @@ def _bench_shard(
                         },
                         "num_shards": store.num_shards,
                         "workers": workers,
+                        "degraded": workers > _usable_cores(),
                         "build_s": round(build, 6),
                         "edges_shard_local": round(store.edges_shard_local, 4),
                         "before_s": round(before, 6),
@@ -1048,8 +1086,9 @@ def check_report(
     ``min_delta_s`` absolute — the floor keeps sub-millisecond rows from
     flapping on scheduler noise.  Rows whose machines cannot be compared
     honestly are skipped, never failed: a ``degraded`` flag on either
-    side (single-core host) or a ``workers_effective`` mismatch means
-    the baseline's parallel timings are not reproducible here.
+    side (more workers than usable cores) or a ``workers_effective``
+    mismatch means the baseline's parallel timings are not reproducible
+    here.
 
     Returns a dict with per-row status entries (``rows``), the keys that
     regressed (``regressions``), and checked/skipped/unmatched tallies.

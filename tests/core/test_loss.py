@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.loss import EdgeSimilarityHead, bipartite_graph_loss, _repeat_rows
+from repro.nn.gradcheck import check_gradient
 from repro.nn.tensor import Tensor
 
 
@@ -109,3 +110,23 @@ class TestRepeatRows:
         t = _embeddings(2, 2)
         _repeat_rows(t, 3).sum().backward()
         assert np.allclose(t.grad, 3.0)
+
+    def test_matches_gather_path_exactly(self):
+        # The tiled node replaces ``gather_rows(np.tile(arange(B), reps))``;
+        # forward rows and the folded-back gradient are the same values.
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(5, 3))
+        upstream = rng.normal(size=(20, 3)) * 10.0 ** rng.integers(-6, 7, size=(20, 3))
+        tiled = Tensor(data, requires_grad=True)
+        gathered = Tensor(data, requires_grad=True)
+        out_tiled = _repeat_rows(tiled, 4)
+        out_gathered = gathered.gather_rows(np.tile(np.arange(5), 4))
+        np.testing.assert_array_equal(out_tiled.data, out_gathered.data)
+        out_tiled.backward(upstream)
+        out_gathered.backward(upstream)
+        np.testing.assert_array_equal(tiled.grad, gathered.grad)
+
+    def test_gradient_check(self):
+        t = _embeddings(4, 3)
+        weights = Tensor(np.random.default_rng(5).normal(size=(12, 3)))
+        check_gradient(lambda: (_repeat_rows(t, 3) * weights).tanh().sum(), [t])

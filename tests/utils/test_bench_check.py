@@ -168,6 +168,31 @@ class TestCheckReport:
             check_report(rep, rep, tolerance=-0.1)
 
 
+class TestOversubscribedRows:
+    """Parallel rows asking for more workers than usable cores are flagged
+    ``degraded``, so the sentinel skips them instead of timing the
+    scheduler; rows within the usable cores stay checked."""
+
+    @pytest.mark.parametrize("workers,usable,degraded", [
+        (1, 1, False), (2, 2, False), (2, 4, False), (4, 2, True), (2, 1, True),
+    ])
+    def test_flag_follows_affinity_mask(self, monkeypatch, workers, usable, degraded):
+        import os
+
+        from repro.utils import bench
+
+        monkeypatch.setitem(bench.GRAPH_SIZES, "quick", [(40, 30, 120)])
+        monkeypatch.setitem(bench.KMEANS_SIZES, "quick", [(60, 4, 5)])
+        monkeypatch.setitem(bench.PARALLEL_SCORE_SIZES, "quick", (32, 12, 8))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)))
+        rows = bench._bench_parallel("quick", seed=0, repeats=1, workers=workers)
+        assert {row["degraded"] for row in rows} == {degraded}
+        assert {row["workers_effective"] for row in rows} == {min(workers, usable)}
+        result = check_report(_report(parallel=rows), _report(parallel=rows))
+        assert result["skipped"] == (len(rows) if degraded else 0)
+        assert result["checked"] == (0 if degraded else len(rows))
+
+
 class TestRenderCheckTable:
     def test_table_lists_regressions_first_with_deltas(self):
         base = _report(
