@@ -166,19 +166,35 @@ def _layerwise_chunk(task: tuple, context: tuple) -> np.ndarray:
     in the parent (fixed order, so the sampling stream is untouched by
     parallelism).  ``context`` carries the previous-step matrices —
     possibly as shared-memory handles — plus the step's weights.
+
+    An optional fourth task entry ``rows`` (chunk-local row indices)
+    gathers and aggregates only those rows and returns only their
+    embeddings.  The aggregated rows are scattered into a zero matrix of
+    the full chunk shape first, so both matmuls see the operand shapes
+    and row positions of the full-chunk call: the returned rows equal
+    the same rows of the full-chunk result bitwise, whatever the BLAS.
     """
-    start, stop, neigh = task
+    start, stop, neigh, *selection = task
+    rows = selection[0] if selection else None
     own_handle, other_handle, params = context
     own_prev = as_ndarray(own_handle)
     other_prev = as_ndarray(other_handle)
+    if rows is not None:
+        neigh = neigh[rows]
     valid = neigh >= 0
     stacked = other_prev[np.where(valid, neigh, 0)]
     aggregated = _np_aggregate(stacked, valid, params["aggregator"])
+    if rows is not None:
+        scattered = np.zeros((stop - start, aggregated.shape[1]))
+        scattered[rows] = aggregated
+        aggregated = scattered
     transformed = aggregated @ params["m_w"]  # Eq. 1 / Eq. 2 (M has no bias)
     if params["m_b"] is not None:
         transformed = transformed + params["m_b"]
     combined = np.concatenate([own_prev[start:stop], transformed], axis=-1)
     z = combined @ params["w_w"]
+    if rows is not None:
+        z = z[rows]
     if params["w_b"] is not None:
         z = z + params["w_b"]
     return _NP_ACTIVATIONS[params["activation"]](z)  # Eq. 3 / Eq. 4
@@ -465,10 +481,11 @@ class BipartiteGraphSAGE(Module):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Delta-aware update of the ``mode="streaming"`` embeddings.
 
-        After the graph gained edges/vertices, recomputes only the
-        chunks containing the P-hop out-neighbourhood of the dirty
-        vertices — bitwise-identical to ``embed_all(mutated_graph,
-        mode="streaming")`` at any worker count.  Accepts an
+        After the graph gained edges/vertices, recomputes only the rows
+        in the P-hop out-neighbourhood of the dirty vertices, each at its
+        full-pass chunk position and operand shape — bitwise-identical to
+        ``embed_all(mutated_graph, mode="streaming")`` at any worker
+        count.  Accepts an
         :class:`~repro.streaming.IncrementalBipartiteGraph` (dirty
         frontier consumed and cleared) or a plain graph plus explicit
         dirty id arrays.  Stats land on

@@ -16,6 +16,13 @@ import numpy as np
 __all__ = ["BipartiteGraph"]
 
 
+def _edge_keys(edges: np.ndarray, num_users: int, num_items: int) -> np.ndarray:
+    """One int64 ``user * num_items + item`` per edge, ordered like the pairs."""
+    if num_users * num_items > np.iinfo(np.int64).max:
+        raise OverflowError(f"{num_users} x {num_items} pairs overflow int64 edge keys")
+    return edges[:, 0] * num_items + edges[:, 1]
+
+
 @dataclass(frozen=True)
 class _CSR:
     """One direction of adjacency in compressed sparse row form."""
@@ -80,7 +87,9 @@ class BipartiteGraph:
 
         self.num_users = int(num_users)
         self.num_items = int(num_items)
-        self._edges, self._weights = self._merge_duplicates(edges, weights)
+        self._edges, self._weights = self._merge_duplicates(
+            edges, weights, self.num_users, self.num_items
+        )
         self._user_csr = self._build_csr(
             self._edges[:, 0], self._edges[:, 1], self._weights, self.num_users
         )
@@ -95,16 +104,18 @@ class BipartiteGraph:
     # ------------------------------------------------------------------
     @staticmethod
     def _merge_duplicates(
-        edges: np.ndarray, weights: np.ndarray
+        edges: np.ndarray, weights: np.ndarray, num_users: int, num_items: int
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Edges unchanged when unique, else sorted unique pairs with summed weights."""
         if not len(edges):
             return edges, weights
-        unique, inverse = np.unique(edges, axis=0, return_inverse=True)
+        unique, inverse = np.unique(
+            _edge_keys(edges, num_users, num_items), return_inverse=True
+        )
         if len(unique) == len(edges):
             return edges, weights
-        merged = np.zeros(len(unique), dtype=np.float64)
-        np.add.at(merged, inverse, weights)
-        return unique, merged
+        merged = np.bincount(inverse, weights=weights, minlength=len(unique))
+        return np.stack(np.divmod(unique, num_items), axis=1), merged
 
     @staticmethod
     def _build_csr(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.bipartite import BipartiteGraph
+from repro.graph.bipartite import BipartiteGraph, _edge_keys
 from repro.obs.metrics import counter_add
 
 __all__ = ["IncrementalBipartiteGraph"]
@@ -41,7 +41,9 @@ class IncrementalBipartiteGraph:
 
     Semantics mirror the immutable constructor: re-adding an existing
     (user, item) edge *increases its weight* (duplicates merge by
-    summing), and edge weights must be positive.
+    summing), and edge weights must be positive.  The materialised graph
+    keeps the base edges in their order with new edges following in
+    arrival order; a re-added edge is summed into its existing slot.
     """
 
     def __init__(
@@ -249,11 +251,12 @@ class IncrementalBipartiteGraph:
 
     def _materialise(self) -> BipartiteGraph:
         base = self._base
+        edges, weights = base.edges, base.edge_weights
         if self._pending_edge_count:
-            edges = np.concatenate([base.edges] + self._pending_edges)
-            weights = np.concatenate([base.edge_weights] + self._pending_weights)
-        else:
-            edges, weights = base.edges, base.edge_weights
+            edges, weights = self._merge_in_arrival_order(
+                np.concatenate([edges] + self._pending_edges),
+                np.concatenate([weights] + self._pending_weights),
+            )
         return BipartiteGraph(
             self.num_users,
             self.num_items,
@@ -262,6 +265,23 @@ class IncrementalBipartiteGraph:
             self._extended_features("user"),
             self._extended_features("item"),
         )
+
+    def _merge_in_arrival_order(
+        self, edges: np.ndarray, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sum re-added edges into their first slot, keeping arrival order.
+
+        Handing duplicates to the constructor would re-sort every edge,
+        reordering CSR rows the delta never touched (and with them the
+        neighbour draws of rows a refresh treats as unchanged).
+        """
+        keys = _edge_keys(edges, self.num_users, self.num_items)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if len(first) == len(edges):
+            return edges, weights
+        summed = np.bincount(inverse, weights=weights, minlength=len(first))
+        order = np.argsort(first)
+        return edges[first[order]], summed[order]
 
     def _extended_features(self, side: str) -> np.ndarray | None:
         base = self._base.user_features if side == "user" else self._base.item_features

@@ -15,17 +15,23 @@ identical** to a full pass over the mutated graph (not merely close):
    Here the RNG for every chunk is derived *purely from its coordinates*
    — ``derive_rng(sample_seed, key, side, step, chunk_index)`` — so a
    full pass and a delta pass draw identical neighbours for the same
-   chunk, and chunks left untouched keep draws identical to what a full
-   pass would have drawn for them.
+   chunk.  A row's draw reads only its own slot of the chunk's uniform
+   block and its own adjacency row (whose order the incremental graph
+   preserves), so rows left untouched keep draws identical to what a
+   full pass would have drawn for them.
 
-2. **Whole-chunk recomputation.**  BLAS matmuls are not guaranteed
-   bitwise-stable across operand shapes, so refreshing individual rows
-   through a smaller matmul could differ in the last ulp.  Refresh
-   instead recomputes every chunk containing at least one affected row
-   with the *exact same* ``(start, stop, neigh)`` task shape through the
-   same :func:`repro.core.sage._layerwise_chunk` kernel — identical
-   inputs through identical code is identical bytes, at any worker
-   count (tasks are materialised and reduced in fixed submission order).
+2. **Row-selected recomputation at full-chunk shape.**  A refresh
+   recomputes only the affected rows, so its cost follows the delta,
+   not the graph.  BLAS matmuls are not guaranteed bitwise-stable
+   across operand shapes, so the affected rows are not pushed through a
+   smaller matmul.  Each chunk holding an affected row draws its whole
+   neighbour block (as the full pass does), and
+   :func:`repro.core.sage._layerwise_chunk` gathers and aggregates only
+   the selected rows, then scatters them into a zero matrix of the
+   chunk's full shape.  Both matmuls therefore see the full pass's
+   operand shapes and row positions, and the kept rows are identical
+   bytes, at any worker count (tasks are materialised and reduced in
+   fixed submission order).
 
 The affected set is propagated conservatively: a row is affected at step
 ``p`` if it is new, its adjacency changed (dirty), it was affected at
@@ -34,8 +40,8 @@ was affected at step ``p-1``.  Sampled neighbours are a subset of actual
 neighbours, so this is a superset of the rows whose values can change —
 every untouched row provably reads only unchanged inputs.
 
-When the affected fraction exceeds ``degrade_threshold`` the refresh
-gracefully degrades to a full pass (same result, simpler execution).
+When the affected-row fraction exceeds ``degrade_threshold`` the
+refresh gracefully degrades to a full pass (same result, simpler execution).
 """
 
 from __future__ import annotations
@@ -83,10 +89,9 @@ class RefreshStats:
     degraded: bool  # True when a delta request fell back to a full pass
     dirty_users: int
     dirty_items: int
-    affected_rows: int  # conservative affected set, summed over steps
-    rows_recomputed: int  # chunk-rounded rows actually recomputed
+    rows_recomputed: int  # affected rows recomputed, summed over steps
     rows_total: int  # all rows across all steps and both sides
-    chunks_recomputed: int
+    chunks_recomputed: int  # chunks whose neighbours were sampled
     chunks_total: int
 
     @property
@@ -107,11 +112,12 @@ class StreamingEmbedder:
         Root of the content-addressed sampling stream.  Two embedders
         with the same seed, model, and graph produce identical bytes.
     batch_size:
-        Chunk size of the layer-wise passes; also the refresh
-        granularity (whole chunks are recomputed).
+        Chunk size of the layer-wise passes.  A refresh samples every
+        chunk holding an affected row but recomputes only the affected
+        rows, so this does not set the refresh granularity.
     degrade_threshold:
-        Fall back to a full pass when the chunk-rounded recompute
-        fraction exceeds this value.
+        Fall back to a full pass when the affected-row fraction exceeds
+        this value.
     """
 
     def __init__(
@@ -249,7 +255,6 @@ class StreamingEmbedder:
                 degraded=False,
                 dirty_users=len(dirty_users),
                 dirty_items=len(dirty_items),
-                affected_rows=rows_total,
                 rows_recomputed=rows_total,
                 rows_total=rows_total,
                 chunks_recomputed=self._num_chunks(nu, ni) * steps,
@@ -289,25 +294,8 @@ class StreamingEmbedder:
             per_step.append({"user": next_u, "item": next_i})
             aff_u, aff_i = next_u, next_i
 
-        # Chunk-round the affected rows and decide delta vs full.
-        bs = self.batch_size
-        affected_rows = 0
-        rows_recomputed = 0
-        chunks_recomputed = 0
-        plan: list[dict[str, np.ndarray]] = []
-        for masks in per_step:
-            chunk_ids: dict[str, np.ndarray] = {}
-            for side in _SIDES:
-                mask = masks[side]
-                affected_rows += int(mask.sum())
-                n = len(mask)
-                ids = np.unique(np.flatnonzero(mask) // bs)
-                chunk_ids[side] = ids
-                chunks_recomputed += len(ids)
-                rows_recomputed += sum(
-                    min((k + 1) * bs, n) - k * bs for k in ids
-                )
-            plan.append(chunk_ids)
+        # Decide delta vs full on the affected-row fraction.
+        rows_recomputed = sum(int(m.sum()) for masks in per_step for m in masks.values())
         chunks_total = self._num_chunks(nu, ni) * steps
         fraction = rows_recomputed / rows_total if rows_total else 0.0
         if fraction > self.degrade_threshold:
@@ -318,7 +306,6 @@ class StreamingEmbedder:
                 degraded=True,
                 dirty_users=len(dirty_users),
                 dirty_items=len(dirty_items),
-                affected_rows=affected_rows,
                 rows_recomputed=rows_total,
                 rows_total=rows_total,
                 chunks_recomputed=chunks_total,
@@ -326,24 +313,24 @@ class StreamingEmbedder:
             )
             return out
 
-        # Delta pass: copy cached rows, recompute affected chunks with
-        # the exact full-pass task shapes.  New rows (>= old_n) are
-        # always inside recomputed chunks — they are marked affected at
-        # every step.
+        # Delta pass: copy cached rows, recompute only the affected rows
+        # of each chunk holding one.  New rows (>= old_n) are marked
+        # affected at every step, so they are always recomputed.
         pool = get_pool(workers)
         h = self._h
         new_h: list[dict[str, np.ndarray]] = [
             {side: self.model._features(graph, side) for side in _SIDES}
         ]
+        chunks_recomputed = 0
         for step in range(1, steps + 1):
-            chunk_ids = plan[step - 1]
             new_step: dict[str, np.ndarray] = {}
             for side in _SIDES:
-                ids = chunk_ids[side]
+                affected = np.flatnonzero(per_step[step - 1][side])
                 cached = h[step][side]
-                if len(ids) == 0:
+                if len(affected) == 0:
                     new_step[side] = cached  # shape unchanged: no new rows
                     continue
+                chunks_recomputed += len(np.unique(affected // self.batch_size))
                 new_step[side] = self._pass(
                     graph,
                     new_h[step - 1][side],
@@ -351,7 +338,7 @@ class StreamingEmbedder:
                     step,
                     side,
                     pool,
-                    chunk_ids=ids,
+                    rows=affected,
                     cached=cached,
                 )
             new_h.append(new_step)
@@ -362,7 +349,6 @@ class StreamingEmbedder:
             degraded=False,
             dirty_users=len(dirty_users),
             dirty_items=len(dirty_items),
-            affected_rows=affected_rows,
             rows_recomputed=rows_recomputed,
             rows_total=rows_total,
             chunks_recomputed=chunks_recomputed,
@@ -391,25 +377,32 @@ class StreamingEmbedder:
         step: int,
         side: str,
         pool,
-        chunk_ids: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
         cached: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Step-``step`` matrix for ``side``; optionally only some chunks.
+        """Step-``step`` matrix for ``side``; optionally only some rows.
 
-        With ``chunk_ids``/``cached`` set, rows outside the listed
-        chunks are copied from ``cached`` (which may be shorter when the
-        graph grew — the tail rows are always inside listed chunks).
+        With ``rows``/``cached`` set, only the sorted global ``rows`` are
+        recomputed and every other row is copied from ``cached`` (which
+        may be shorter when the graph grew — the tail rows are always in
+        ``rows``).  Each chunk holding a listed row still draws its whole
+        neighbour block from its content-addressed RNG, exactly as the
+        full pass does, and the kernel computes the listed rows at their
+        full-pass positions.
         """
         cfg = self.model.config
         n = graph.num_users if side == "user" else graph.num_items
         fanout = cfg.neighbor_samples[cfg.num_steps - step]
         transform, weight = self.model._step_modules(step, side)
         bs = self.batch_size
-        if chunk_ids is None:
-            chunk_ids = np.arange((n + bs - 1) // bs)
+        if rows is None:
+            plan = [(k, None) for k in range((n + bs - 1) // bs)]
+        else:
+            chunk_ids, first = np.unique(rows // bs, return_index=True)
+            plan = zip(chunk_ids, np.split(rows, first[1:]))
         sampler = NeighborSampler(graph, rng=0)
         tasks = []
-        for k in chunk_ids:
+        for k, selected in plan:
             start = int(k) * bs
             stop = min(start + bs, n)
             chunk = np.arange(start, stop)
@@ -418,7 +411,10 @@ class StreamingEmbedder:
                 neigh = sampler.sample_items_for_users(chunk, fanout)
             else:
                 neigh = sampler.sample_users_for_items(chunk, fanout)
-            tasks.append((start, stop, neigh))
+            if selected is None:
+                tasks.append((start, stop, neigh))
+            else:
+                tasks.append((start, stop, neigh, selected - start))
         params = {
             "m_w": transform.weight.data,
             "m_b": transform.bias.data if transform.bias is not None else None,
@@ -431,12 +427,12 @@ class StreamingEmbedder:
         if cached is not None:
             out[: len(cached)] = cached
         with shared_arrays(pool, own_prev, other_prev) as (own_h, other_h):
-            rows = pool.map(
+            blocks = pool.map(
                 _layerwise_chunk,
                 tasks,
                 context=(own_h, other_h, params),
                 label="streaming.layerwise_chunk",
             )
-        for (start, stop, _), block in zip(tasks, rows):
-            out[start:stop] = block
+        for (start, stop, _neigh, *local), block in zip(tasks, blocks):
+            out[local[0] + start if local else slice(start, stop)] = block
         return out

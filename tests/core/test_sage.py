@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.sage import BipartiteGraphSAGE
+from repro.core.sage import _NP_ACTIVATIONS, BipartiteGraphSAGE, _layerwise_chunk
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
 from repro.nn.gradcheck import check_gradient
@@ -134,3 +135,47 @@ class TestGradients:
         touched = sum(1 for p in mod.parameters() if p.grad is not None)
         # At least the user-side parameters of both steps receive grads.
         assert touched >= 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    chunk=st.integers(1, 70),
+    offset=st.integers(0, 9),
+    fanout=st.integers(1, 12),
+    own_dim=st.integers(1, 9),
+    other_dim=st.integers(1, 9),
+    out_dim=st.integers(1, 9),
+    aggregator=st.sampled_from(["mean", "sum", "max", "weighted_mean"]),
+    activation=st.sampled_from(sorted(_NP_ACTIVATIONS)),
+    isolated=st.floats(0.0, 1.0),
+    bias=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_property_row_selected_chunk_equals_full_chunk_rows(
+    chunk, offset, fanout, own_dim, other_dim, out_dim, aggregator, activation,
+    isolated, bias, seed,
+):
+    # The row-selected kernel call must return exactly the bytes of the
+    # same rows of the full-chunk call, including isolated (-1) rows.
+    rng = np.random.default_rng(seed)
+    start, stop = offset, offset + chunk
+    own_prev = rng.normal(size=(stop + 3, own_dim))
+    other_prev = rng.normal(size=(int(rng.integers(1, 40)), other_dim))
+    neigh = rng.integers(0, len(other_prev), size=(chunk, fanout))
+    neigh[rng.random(chunk) < isolated] = -1
+    params = {
+        "m_w": rng.normal(size=(other_dim, out_dim)),
+        "m_b": None,
+        "w_w": rng.normal(size=(own_dim + out_dim, out_dim)),
+        "w_b": rng.normal(size=out_dim) if bias else None,
+        "activation": activation,
+        "aggregator": aggregator,
+    }
+    context = (own_prev, other_prev, params)
+    rows = np.flatnonzero(rng.random(chunk) < rng.random())
+    if not len(rows):
+        rows = np.array([int(rng.integers(chunk))])
+    full = _layerwise_chunk((start, stop, neigh), context)
+    selected = _layerwise_chunk((start, stop, neigh, rows), context)
+    assert selected.shape == (len(rows), out_dim)
+    assert selected.tobytes() == full[rows].tobytes()

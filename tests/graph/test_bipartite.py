@@ -146,3 +146,48 @@ def test_property_degree_sums_match_edges(n_users, n_items, seed):
     from_users = {(u, int(i)) for u in range(n_users) for i in g.item_neighbors(u)}
     from_items = {(int(u), i) for i in range(n_items) for u in g.user_neighbors(i)}
     assert from_users == from_items == g.edge_set()
+
+
+def _merge_reference(edges, weights):
+    """The former ``np.unique(axis=0)`` merge, kept as the oracle."""
+    if not len(edges):
+        return edges, weights
+    unique, inverse = np.unique(edges, axis=0, return_inverse=True)
+    if len(unique) == len(edges):
+        return edges, weights
+    merged = np.zeros(len(unique), dtype=np.float64)
+    np.add.at(merged, inverse.reshape(-1), weights)
+    return unique, merged
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_users=st.integers(1, 40),
+    n_items=st.integers(1, 40),
+    n_edges=st.integers(0, 120),
+    duplicates=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_property_merge_duplicates_matches_unique_rows(
+    n_users, n_items, n_edges, duplicates, seed
+):
+    # Covers empty input, a single edge, and inputs with and without
+    # repeated pairs; weights are non-integral so summation order shows.
+    rng = np.random.default_rng(seed)
+    if duplicates:
+        flat = rng.integers(0, n_users * n_items, size=n_edges)
+    else:
+        flat = rng.choice(n_users * n_items, size=min(n_edges, n_users * n_items), replace=False)
+    edges = np.column_stack([flat // n_items, flat % n_items]).astype(np.int64).reshape(-1, 2)
+    weights = rng.random(len(edges)) + 0.1
+    got_edges, got_weights = BipartiteGraph._merge_duplicates(edges, weights, n_users, n_items)
+    want_edges, want_weights = _merge_reference(edges, weights)
+    assert got_edges.dtype == want_edges.dtype and got_edges.shape == want_edges.shape
+    assert got_edges.tobytes() == want_edges.tobytes()
+    assert got_weights.dtype == want_weights.dtype
+    assert got_weights.tobytes() == want_weights.tobytes()
+
+
+def test_edge_keys_refuse_int64_overflow():
+    with pytest.raises(OverflowError):
+        BipartiteGraph(2**32, 2**32, np.array([[0, 0], [0, 0]]))

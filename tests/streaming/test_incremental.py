@@ -64,8 +64,20 @@ class TestAppendSemantics:
             base.item_features,
         )
         got = inc.graph
-        assert np.array_equal(got.edges, expected.edges)
-        assert np.array_equal(got.edge_weights, expected.edge_weights)
+        # Same edge -> weight map as the from-scratch build ...
+        assert _edge_weight_map(got) == pytest.approx(_edge_weight_map(expected))
+        # ... but laid out as base edges in base order, then new edges
+        # in arrival order (re-adds summed in place, not re-sorted).
+        assert np.array_equal(got.edges[: base.num_edges], base.edges)
+        known = base.edge_set()
+        arrivals = []
+        for u, i in new_edges.tolist():
+            if (u, i) not in known:
+                known.add((u, i))
+                arrivals.append([u, i])
+        assert np.array_equal(
+            got.edges[base.num_edges :], np.array(arrivals).reshape(-1, 2)
+        )
 
     def test_empty_append_is_a_noop(self):
         inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)

@@ -5,8 +5,10 @@ The contract: after any edge/vertex delta,
 ``full_embed(mutated)`` on a fresh embedder — at any worker count, for
 any delta size, whether the delta path ran or degradation kicked in.
 The trick is content-addressed sampling (every chunk's neighbour draw is
-seeded by its coordinates, not by stream position) plus whole-chunk
-recomputation (identical task tuples through the same kernel).
+seeded by its coordinates, not by stream position) plus row-selected
+recomputation: each chunk holding an affected row draws its whole
+neighbour block, and the kernel computes only the affected rows at
+their full-chunk positions and operand shapes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.sage import BipartiteGraphSAGE
+from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
 from repro.parallel import shutdown_pools
 from repro.streaming import IncrementalBipartiteGraph, StreamingEmbedder
@@ -42,6 +45,28 @@ def _mutate(graph, delta_edges, seed=1):
     )
     inc.add_edges(edges)
     return inc
+
+
+def _hub_world(num_users=30_000, num_items=2_000, hub_every=60, seed=0):
+    """One edge per user plus a hub item adjacent to every ``hub_every``-th
+    user, so a delta on the hub reaches every 64-row user chunk."""
+    rng = np.random.default_rng(seed)
+    users = np.arange(num_users)
+    edges = np.concatenate(
+        [
+            np.stack([users, rng.integers(1, num_items, num_users)], axis=1),
+            np.stack([users[::hub_every], np.zeros_like(users[::hub_every])], axis=1),
+        ]
+    )
+    graph = BipartiteGraph(
+        num_users,
+        num_items,
+        edges,
+        user_features=rng.normal(size=(num_users, 6)),
+        item_features=rng.normal(size=(num_items, 6)),
+    )
+    cfg = SageConfig(embedding_dim=8, neighbor_samples=(4, 3))
+    return graph, BipartiteGraphSAGE(6, 6, cfg, rng=seed)
 
 
 def _assert_bitwise_equal(got, want):
@@ -128,6 +153,21 @@ class TestBitwiseEquivalence:
         reference.full_embed(inc.graph)
         _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
 
+    def test_re_added_edge_keeps_untouched_rows_exact(self):
+        # Re-adding an existing edge sums its weight in place; the merge
+        # must not re-sort the edge list, or every CSR row (and with it
+        # the neighbour draws of rows the refresh leaves alone) moves.
+        graph, model = _world(3000, 2000, 12_000)
+        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=64)
+        embedder.full_embed(graph)
+        inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+        inc.add_edges(graph.edges[[len(graph.edges) // 2]])
+        embedder.refresh(inc)
+        assert embedder.last_stats.mode == "delta"
+        reference = StreamingEmbedder(model, sample_seed=0, batch_size=64)
+        reference.full_embed(inc.graph)
+        _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
+
 
 class TestRefreshStats:
     def test_sparse_delta_takes_the_delta_path(self):
@@ -146,6 +186,23 @@ class TestRefreshStats:
         assert 0.0 < stats.recompute_fraction < 1.0
         assert stats.chunks_recomputed < stats.chunks_total
         assert stats.rows_recomputed < stats.rows_total
+
+    def test_delta_spread_over_every_chunk_stays_row_granular(self):
+        # Two edges on a hub item reach a row in every user chunk at the
+        # last step; only those rows are recomputed, not their chunks.
+        graph, model = _hub_world()
+        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=64)
+        embedder.full_embed(graph)
+        inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+        inc.add_edges(np.array([[1, 0], [7, 0]]))
+        embedder.refresh(inc)
+        stats = embedder.last_stats
+        assert stats.mode == "delta"
+        assert stats.recompute_fraction < 0.01
+        assert stats.chunks_recomputed >= graph.num_users // 64
+        reference = StreamingEmbedder(model, sample_seed=0, batch_size=64)
+        reference.full_embed(inc.graph)
+        _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
 
     def test_large_delta_degrades_to_full(self):
         graph, model = _world()
@@ -253,5 +310,17 @@ class TestWorkerEquivalence:
         reference = StreamingEmbedder(
             model, sample_seed=0, batch_size=32, degrade_threshold=1.0
         )
+        reference.full_embed(inc.graph)
+        _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
+
+    def test_row_granular_refresh_two_workers_equals_full_embed(self):
+        graph, model = _hub_world(num_users=6_000, num_items=500)
+        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=64)
+        embedder.full_embed(graph, workers=2)
+        inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+        inc.add_edges(np.array([[1, 0], [7, 0], [4, 3]]))
+        embedder.refresh(inc, workers=2)
+        assert embedder.last_stats.mode == "delta"
+        reference = StreamingEmbedder(model, sample_seed=0, batch_size=64)
         reference.full_embed(inc.graph)
         _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
