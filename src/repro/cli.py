@@ -514,7 +514,7 @@ def _shard_run(args: argparse.Namespace, path, monitor) -> int:
         graph = store.to_graph()
         store.close()
         t0 = time.perf_counter()
-        z_u, z_i = model.embed_all(graph, batch_size=args.batch_size, mode="layerwise")
+        z_u, z_i = model.embed_all(graph, batch_size=args.batch_size)
     else:
         t0 = time.perf_counter()
         z_u, z_i = model.embed_all(

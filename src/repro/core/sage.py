@@ -28,6 +28,19 @@ cf. Cascade-BGNN's redundancy elimination):
   matrices, one pass per step, instead of re-expanding the whole
   receptive field per batch.  The block step remains the training path
   (it builds the autograd graph).
+
+One engine runs every layer-wise pass — dense and sharded
+:meth:`embed_all`, and :class:`~repro.streaming.StreamingEmbedder`'s
+full and delta passes.  :meth:`BipartiteGraphSAGE._layerwise_pass` plans
+one task per vertex chunk (every chunk, or the chunks holding a
+refresh's affected rows) over a neighbour source: a ``BipartiteGraph``
+or a ``ShardedCSR`` store.  :func:`_chunk_task` draws its chunk's
+neighbours from the content-addressed RNG
+``derive_rng(sample_seed, _STREAM_KEY, side, step, chunk)`` and embeds
+the chunk.  Draws depend only on a chunk's coordinates, never on
+execution order, so a graph and its shard store, any worker count, and
+a delta refresh of a subset of rows all give the same bytes.  Step
+matrices live in RAM for graphs and in memory-mapped files for stores.
 """
 
 from __future__ import annotations
@@ -44,6 +57,8 @@ from repro.obs.metrics import counter_add, observe
 from repro.obs.monitor import heartbeat
 from repro.nn.tensor import Tensor, concat, no_grad, where
 from repro.parallel import as_ndarray, get_pool, shared_arrays
+from repro.shard.sampler import ShardedNeighborSampler
+from repro.shard.storage import MappedMatrix, allocate_block, open_block
 from repro.utils.config import SageConfig
 from repro.utils.rng import derive_rng, ensure_rng
 
@@ -118,86 +133,121 @@ def _zero_padding(rows: Tensor, ids: np.ndarray) -> Tensor:
     return rows if mask.all() else rows * mask[:, None].astype(float)
 
 
-def _sharded_shard_task(task: tuple, context: tuple) -> int:
-    """Run one shard's chunk list of a sharded layer-wise pass.
+def _chunk_rows(start: int, stop: int, rows: np.ndarray | None):
+    """Global index of a chunk's selected ``rows`` (all rows when None)."""
+    return slice(start, stop) if rows is None else start + rows
 
-    ``task`` is ``(shard_id, chunks)`` with every chunk pre-sampled in
-    the parent; ``context`` names the previous-step matrices and the
-    output buffer as ``(path, shape)`` memmap specs plus the step's
-    weights.  Each chunk writes a disjoint row range of the output, so
-    results are independent of which worker runs what — and each chunk
-    is computed by the exact dense-path kernel, so the bytes written are
-    identical to the in-memory result.
+
+def _chunk_plan(n: int, batch_size: int, rows: np.ndarray | None) -> list[tuple]:
+    """``(chunk, chunk-local rows)`` tasks covering ``n`` vertices, or
+    only the chunks holding the sorted global ``rows``; counts the rows
+    each task embeds."""
+    if rows is None:
+        plan = [(k, None) for k in range(-(-n // batch_size))]
+    else:
+        chunks, first = np.unique(rows // batch_size, return_index=True)
+        picks = np.split(rows, first[1:])
+        plan = [(int(k), pick - k * batch_size) for k, pick in zip(chunks, picks)]
+    for k, pick in plan:
+        size = min(batch_size, n - k * batch_size) if pick is None else len(pick)
+        counter_add("sage.vertices_embedded", size)
+        observe("sage.frontier_size", size)
+    return plan
+
+
+# Key separating the layer-wise sampling stream from every other
+# derive_rng consumer (the trainer uses small integer keys).
+_STREAM_KEY = 0x51BE
+_SIDE_ID = {"user": 0, "item": 1}
+_OTHER = {"user": "item", "item": "user"}
+
+
+def _neighbor_sampler(source, rng: np.random.Generator):
+    """The neighbour sampler over ``source``, a graph or a shard store."""
+    if isinstance(source, BipartiteGraph):
+        return NeighborSampler(source, rng=rng)
+    return ShardedNeighborSampler(source, rng=rng)
+
+
+def _matrix(handle) -> np.ndarray:
+    """A step matrix from its handle: an ndarray, a shared-memory
+    handle, or a :class:`MappedMatrix`."""
+    if isinstance(handle, MappedMatrix):
+        return handle.array
+    return as_ndarray(handle)
+
+
+def _chunk_kernel(
+    own: np.ndarray,
+    other_prev: np.ndarray,
+    neigh: np.ndarray,
+    params: dict,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Eqs. 1–4 for one vertex chunk, in plain numpy.
+
+    ``own`` holds the chunk's step-``p-1`` rows, ``neigh`` its sampled
+    neighbours as row ids of ``other_prev`` (-1 for none), ``params``
+    the step's weights.  ``rows`` (chunk-local indices) gathers and
+    aggregates only those rows and returns only their embeddings.  The
+    aggregated rows are scattered into a zero matrix of the full chunk
+    shape first, so both matmuls see the operand shapes and row
+    positions of the full-chunk call: the returned rows equal the same
+    rows of the full-chunk result bitwise, whatever the BLAS.
     """
-    from repro.obs.metrics import counter_add as _counter_add
-    from repro.obs.monitor import heartbeat as _heartbeat
-    from repro.shard.storage import open_block
-
-    shard_id, chunks = task
-    own_spec, other_spec, out_spec, params = context
-    own_prev = open_block(own_spec[0], np.float64, own_spec[1], mode="r")
-    other_prev = open_block(other_spec[0], np.float64, other_spec[1], mode="r")
-    out = open_block(out_spec[0], np.float64, out_spec[1], mode="r+")
-    read = written = 0
-    total_rows = sum(stop - start for start, stop, _neigh in chunks)
-    done_rows = 0
-    for start, stop, neigh in chunks:
-        out[start:stop] = _layerwise_chunk((start, stop, neigh), (own_prev, other_prev, params))
-        read += ((stop - start) * own_prev.shape[1] + neigh.size * other_prev.shape[1]) * 8
-        written += (stop - start) * out.shape[1] * 8
-        done_rows += stop - start
-        _heartbeat(
-            f"shard{shard_id:03d}.embed",
-            done_rows,
-            total_rows,
-            frontier=int(neigh.size),
-        )
-    if isinstance(out, np.memmap):
-        out.flush()
-    _counter_add("shard.mmap_bytes_read", read)
-    _counter_add("shard.mmap_bytes_written", written)
-    return shard_id
-
-
-def _layerwise_chunk(task: tuple, context: tuple) -> np.ndarray:
-    """Embed one pre-sampled vertex chunk at one step (Eqs. 1–4).
-
-    ``task`` is ``(start, stop, neigh)`` with neighbours already sampled
-    in the parent (fixed order, so the sampling stream is untouched by
-    parallelism).  ``context`` carries the previous-step matrices —
-    possibly as shared-memory handles — plus the step's weights.
-
-    An optional fourth task entry ``rows`` (chunk-local row indices)
-    gathers and aggregates only those rows and returns only their
-    embeddings.  The aggregated rows are scattered into a zero matrix of
-    the full chunk shape first, so both matmuls see the operand shapes
-    and row positions of the full-chunk call: the returned rows equal
-    the same rows of the full-chunk result bitwise, whatever the BLAS.
-    """
-    start, stop, neigh, *selection = task
-    rows = selection[0] if selection else None
-    own_handle, other_handle, params = context
-    own_prev = as_ndarray(own_handle)
-    other_prev = as_ndarray(other_handle)
     if rows is not None:
         neigh = neigh[rows]
     valid = neigh >= 0
     stacked = other_prev[np.where(valid, neigh, 0)]
     aggregated = _np_aggregate(stacked, valid, params["aggregator"])
     if rows is not None:
-        scattered = np.zeros((stop - start, aggregated.shape[1]))
+        scattered = np.zeros((len(own), aggregated.shape[1]))
         scattered[rows] = aggregated
         aggregated = scattered
     transformed = aggregated @ params["m_w"]  # Eq. 1 / Eq. 2 (M has no bias)
     if params["m_b"] is not None:
         transformed = transformed + params["m_b"]
-    combined = np.concatenate([own_prev[start:stop], transformed], axis=-1)
+    combined = np.concatenate([own, transformed], axis=-1)
     z = combined @ params["w_w"]
     if rows is not None:
         z = z[rows]
     if params["w_b"] is not None:
         z = z + params["w_b"]
     return _NP_ACTIVATIONS[params["activation"]](z)  # Eq. 3 / Eq. 4
+
+
+def _chunk_task(task: tuple, context: tuple) -> np.ndarray | None:
+    """Sample one chunk's neighbours and embed its rows at one step.
+
+    ``task`` is ``(chunk, rows)``; ``rows`` picks chunk-local rows
+    (None: all).  The draw always covers the whole chunk, so a row's
+    neighbours do not depend on which rows are selected.  ``context`` is
+    ``(source, side, own, other, out, sample_seed, step, batch_size,
+    fanout, params)``: the neighbour source (a store travels as its
+    path), handles of both sides' step-``p-1`` matrices, a writable
+    :class:`MappedMatrix` for the rows (None: return them), and the
+    step's weights.
+    """
+    chunk, rows = task
+    source, side, own, other, out, sample_seed, step, batch_size, fanout, params = context
+    own_prev, other_prev = _matrix(own), _matrix(other)
+    start = chunk * batch_size
+    stop = min(start + batch_size, len(own_prev))
+    sampler = _neighbor_sampler(
+        source, derive_rng(sample_seed, _STREAM_KEY, _SIDE_ID[side], step, chunk)
+    )
+    vertices = np.arange(start, stop)
+    if side == "user":
+        neigh = sampler.sample_items_for_users(vertices, fanout)
+    else:
+        neigh = sampler.sample_users_for_items(vertices, fanout)
+    z = _chunk_kernel(own_prev[start:stop], other_prev, neigh, params, rows)
+    if out is None:
+        return z
+    # MAP_SHARED writes are visible to every other mapping of the file
+    # at once; these scratch matrices need no flush.
+    out.array[_chunk_rows(start, stop, rows)] = z
+    return None
 
 
 class BipartiteGraphSAGE(Module):
@@ -211,6 +261,11 @@ class BipartiteGraphSAGE(Module):
         Hyper-parameters; see :class:`repro.utils.config.SageConfig`.
     rng:
         Seed / generator for weight init and neighbour sampling.
+
+    Attributes
+    ----------
+    sample_seed:
+        Root of :meth:`embed_all`'s content-addressed neighbour draws.
     """
 
     def __init__(
@@ -256,10 +311,12 @@ class BipartiteGraphSAGE(Module):
             self.user_weight.append(w_u)
             self.item_weight.append(w_i)
         self._sample_rng = derive_rng(rng, 7)
+        # Root of the layer-wise (inference) sampling stream; drawn after
+        # ``_sample_rng`` so the training draws do not move.
+        self.sample_seed = int(rng.integers(0, 2**63 - 1))
         # One NeighborSampler per graph, built lazily on first use —
         # the recursion previously rebuilt a sampler at every step.
         self._sampler_cache: tuple[BipartiteGraph, NeighborSampler] | None = None
-        self._shard_sampler_cache: tuple | None = None
 
     # ------------------------------------------------------------------
     # Embedding computation
@@ -340,174 +397,69 @@ class BipartiteGraphSAGE(Module):
 
     def embed_all(
         self,
-        graph: BipartiteGraph,
+        source,
         batch_size: int = 2048,
         mode: str = "layerwise",
         workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Inference-mode embeddings (Z_u, Z_i) for every vertex.
 
-        ``mode="layerwise"`` (default) computes each step for the whole
-        graph from the cached previous-step matrices — O(P·N·K·d) work
-        instead of the recursive path's O(N·K_1·...·K_P·d).  Called at
-        every HiGNN level (Algorithm 1), so it dominates hierarchy-build
-        time.  ``mode="recursive"`` keeps the per-batch recursive
-        expansion as a reference implementation.
+        Layer-wise: each step is computed for the whole graph from the
+        cached previous-step matrices — O(P·N·K·d) work instead of the
+        recursion's O(N·K_1·...·K_P·d).  Called at every HiGNN level
+        (Algorithm 1).
 
-        ``workers`` fans the layer-wise chunk loop out over a process
-        pool (default: the globally configured count, usually 1 → runs
-        in-process).  Chunk boundaries, sampling order and reduction
-        order are independent of the worker count, so the result is
-        bitwise identical for any ``workers`` given the same seed.
-
-        ``mode="streaming"`` runs the same layer-wise computation
-        through the cached :class:`~repro.streaming.StreamingEmbedder`,
-        whose content-addressed per-chunk sampling makes the result the
-        exact reference for :meth:`refresh` (delta refresh after a
-        mutation is bitwise-identical to this mode on the mutated
-        graph).
+        ``source`` is a ``BipartiteGraph`` (step matrices in RAM;
+        ndarrays come back) or a ``ShardedCSR`` store (out of core: step
+        matrices double-buffered in memmaps under ``<store>/embed``;
+        read-only memmaps come back and stay valid across later calls).
+        Neighbours come from the content-addressed stream rooted at
+        :attr:`sample_seed`, so a graph and its store give the same
+        bytes at any ``workers`` (default: the configured pool size) —
+        the bytes of ``StreamingEmbedder(self, sample_seed=
+        self.sample_seed, batch_size=batch_size).full_embed(graph)``.
+        ``mode`` only accepts ``"layerwise"``.
         """
-        if mode == "streaming":
-            return self.streaming_embedder().full_embed(graph, workers=workers)
-        if mode not in {"layerwise", "recursive"}:
-            raise ValueError(f"unknown embed_all mode {mode!r}")
-        if not isinstance(graph, BipartiteGraph):
-            # A ShardedCSR store (duck-checked lazily so repro.core does
-            # not import repro.shard unless sharding is actually used).
-            from repro.shard.storage import ShardedCSR
-
-            if isinstance(graph, ShardedCSR):
-                if mode != "layerwise":
-                    raise ValueError(
-                        "sharded stores only support layerwise embed_all"
-                    )
-                return self.embed_all_sharded(
-                    graph, batch_size=batch_size, workers=workers
-                )
+        if mode != "layerwise":
+            raise ValueError(f"unknown embed_all mode {mode!r}; only 'layerwise' exists")
+        on_disk = not isinstance(source, BipartiteGraph)
+        pool = get_pool(workers)
         self.eval()
         with span(
             "sage.embed_all",
-            mode=mode,
-            num_users=graph.num_users,
-            num_items=graph.num_items,
+            num_users=source.num_users,
+            num_items=source.num_items,
         ), no_grad():
-            if mode == "layerwise":
-                users, items = self._embed_all_layerwise(
-                    graph, batch_size, get_pool(workers)
-                )
-            else:
-                users = np.concatenate(
-                    [
-                        self.embed_users(graph, np.arange(s, min(s + batch_size, graph.num_users))).data
-                        for s in range(0, graph.num_users, batch_size)
-                    ]
-                )
-                items = np.concatenate(
-                    [
-                        self.embed_items(graph, np.arange(s, min(s + batch_size, graph.num_items))).data
-                        for s in range(0, graph.num_items, batch_size)
-                    ]
+            h = {side: self._features(source, side) for side in _SIDES}
+            for step in range(1, self.config.num_steps + 1):
+                out = self._step_files(source, step) if on_disk else None
+                h = self._layerwise_pass(
+                    source, h, step, batch_size, pool, self.sample_seed, out=out
                 )
         self.train()
-        return users, items
-
-    def embed_all_sharded(
-        self,
-        store,
-        batch_size: int = 2048,
-        workers: int | None = None,
-        work_dir=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Layer-wise inference over a ``ShardedCSR`` store, out-of-core.
-
-        Step matrices live in memory-mapped files (double-buffered under
-        ``work_dir``, default ``<store>/embed``); each pass samples every
-        chunk in the parent in the dense path's global order (the
-        fixed-order cross-shard frontier exchange), then fans the chunks
-        out one :mod:`repro.parallel` task per shard.  Workers read the
-        previous-step mmaps and write disjoint row ranges, so the result
-        is bitwise identical to ``embed_all`` on the equivalent dense
-        graph at any worker count.  Returns read-only memmaps
-        ``(Z_u, Z_i)``.
-        """
-        self.eval()
-        with span(
-            "sage.embed_all",
-            mode="sharded",
-            num_users=store.num_users,
-            num_items=store.num_items,
-        ), no_grad():
-            users, items = self._embed_all_sharded(
-                store, batch_size, get_pool(workers), work_dir
-            )
-        self.train()
-        return users, items
-
-    # ------------------------------------------------------------------
-    # Streaming refresh (delegates to repro.streaming, imported lazily)
-    # ------------------------------------------------------------------
-    def streaming_embedder(
-        self,
-        sample_seed: int = 0,
-        batch_size: int = 2048,
-        degrade_threshold: float = 0.25,
-    ):
-        """The cached :class:`~repro.streaming.StreamingEmbedder` for
-        this model (rebuilt when the parameters change)."""
-        from repro.streaming.refresh import StreamingEmbedder
-
-        cached = getattr(self, "_streaming", None)
-        if (
-            cached is None
-            or cached.sample_seed != int(sample_seed)
-            or cached.batch_size != int(batch_size)
-            or cached.degrade_threshold != float(degrade_threshold)
-        ):
-            cached = StreamingEmbedder(
-                self,
-                sample_seed=sample_seed,
-                batch_size=batch_size,
-                degrade_threshold=degrade_threshold,
-            )
-            self._streaming = cached
-        return cached
-
-    def refresh(
-        self,
-        graph,
-        dirty_users: np.ndarray | None = None,
-        dirty_items: np.ndarray | None = None,
-        workers: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Delta-aware update of the ``mode="streaming"`` embeddings.
-
-        After the graph gained edges/vertices, recomputes only the rows
-        in the P-hop out-neighbourhood of the dirty vertices, each at its
-        full-pass chunk position and operand shape — bitwise-identical to
-        ``embed_all(mutated_graph, mode="streaming")`` at any worker
-        count.  Accepts an
-        :class:`~repro.streaming.IncrementalBipartiteGraph` (dirty
-        frontier consumed and cleared) or a plain graph plus explicit
-        dirty id arrays.  Stats land on
-        ``self.streaming_embedder().last_stats``.
-        """
-        return self.streaming_embedder().refresh(
-            graph, dirty_users, dirty_items, workers=workers
-        )
+        if on_disk:  # read-only views of the last step's files
+            return tuple(open_block(h[s].path, np.float64, h[s].shape) for s in _SIDES)
+        return h["user"], h["item"]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _features(self, graph: BipartiteGraph, side: str) -> np.ndarray:
-        feats = graph.user_features if side == "user" else graph.item_features
-        if feats is None:
+    def _features(self, source, side: str):
+        """Validated step-0 matrix of ``side``: the graph's ndarray, or
+        the store's mapped feature file."""
+        if isinstance(source, BipartiteGraph):
+            feats = source.user_features if side == "user" else source.item_features
+            dim = None if feats is None else feats.shape[1]
+        else:
+            dim = source.feature_dim(side)
+        if dim is None:
             raise ValueError(f"graph is missing {side} features")
         expected = self.user_dim if side == "user" else self.item_dim
-        if feats.shape[1] != expected:
-            raise ValueError(
-                f"{side} features have dim {feats.shape[1]}, module expects {expected}"
-            )
-        return feats
+        if dim != expected:
+            raise ValueError(f"{side} features have dim {dim}, module expects {expected}")
+        if isinstance(source, BipartiteGraph):
+            return feats
+        return MappedMatrix(source.feature_path(side), (source.num(side), dim))
 
     def _sampler(self, graph: BipartiteGraph) -> NeighborSampler:
         """The cached per-graph sampler (built once, reused everywhere)."""
@@ -574,240 +526,98 @@ class BipartiteGraphSAGE(Module):
         return _zero_padding(self._layer(step, side, own_prev, flat, neigh >= 0), ids)
 
     # ------------------------------------------------------------------
-    # Layer-wise full-graph inference
+    # Layer-wise inference: the one pass behind every full-graph embedding
     # ------------------------------------------------------------------
-    def _embed_all_layerwise(
-        self, graph: BipartiteGraph, batch_size: int, pool=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One pass per step over the whole graph (inference only).
-
-        At step ``p`` every vertex aggregates ``K`` sampled neighbours
-        from the cached step-``p-1`` matrix of the opposite side, so the
-        receptive field is never re-expanded.  Equivalent to the
-        recursive path when sampling is a pure function of the vertex
-        (e.g. exhaustive fan-outs); distributionally equivalent under
-        sampling with replacement.
-        """
-        h_user = self._features(graph, "user")
-        h_item = self._features(graph, "item")
-        cfg = self.config
-        for step in range(1, cfg.num_steps + 1):
-            fanout = cfg.neighbor_samples[cfg.num_steps - step]
-            new_user = self._layerwise_pass(
-                graph, h_user, h_item, step, "user", fanout, batch_size, pool
-            )
-            new_item = self._layerwise_pass(
-                graph, h_item, h_user, step, "item", fanout, batch_size, pool
-            )
-            h_user, h_item = new_user, new_item
-        return h_user, h_item
-
     def _layerwise_pass(
         self,
-        graph: BipartiteGraph,
-        own_prev: np.ndarray,
-        other_prev: np.ndarray,
+        source,
+        prev: dict,
         step: int,
-        side: str,
-        fanout: int,
-        batch_size: int,
-        pool=None,
-    ) -> np.ndarray:
-        """Step-``step`` embeddings for every vertex on ``side``.
-
-        Neighbours for every chunk are sampled up front in the parent —
-        in the same fixed order the serial loop used, so the sampling
-        RNG stream is untouched by parallelism — then the chunks are
-        mapped over ``pool`` (in-process when ``pool`` is serial) and
-        written back in submission order.
-        """
-        sampler = self._sampler(graph)
-        n = graph.num_users if side == "user" else graph.num_items
-        transform, weight = self._step_modules(step, side)
-        counter_add("sage.vertices_embedded", n)
-        tasks = []
-        for start in range(0, n, batch_size):
-            stop = min(start + batch_size, n)
-            observe("sage.frontier_size", stop - start)
-            chunk = np.arange(start, stop)
-            if side == "user":
-                neigh = sampler.sample_items_for_users(chunk, fanout)
-            else:
-                neigh = sampler.sample_users_for_items(chunk, fanout)
-            tasks.append((start, stop, neigh))
-        params = {
-            "m_w": transform.weight.data,
-            "m_b": transform.bias.data if transform.bias is not None else None,
-            "w_w": weight.weight.data,
-            "w_b": weight.bias.data if weight.bias is not None else None,
-            "activation": self.config.activation,
-            "aggregator": self.config.aggregator,
-        }
-        if pool is None:
-            pool = get_pool(1)
-        out = np.empty((n, self.config.embedding_dim), dtype=np.float64)
-        with shared_arrays(pool, own_prev, other_prev) as (own_h, other_h):
-            rows = pool.map(
-                _layerwise_chunk,
-                tasks,
-                context=(own_h, other_h, params),
-                label="sage.layerwise_chunk",
-            )
-        for (start, stop, _), block in zip(tasks, rows):
-            out[start:stop] = block
-        return out
-
-    # ------------------------------------------------------------------
-    # Sharded layer-wise inference (out-of-core)
-    # ------------------------------------------------------------------
-    def _shard_sampler(self, store):
-        """Cached per-store sampler over shard blocks (mirrors _sampler)."""
-        from repro.shard.sampler import ShardedNeighborSampler
-
-        cached = self._shard_sampler_cache
-        if cached is None or cached[0] is not store or cached[1].rng is not self._sample_rng:
-            self._shard_sampler_cache = (
-                store,
-                ShardedNeighborSampler(store, rng=self._sample_rng),
-            )
-            cached = self._shard_sampler_cache
-        return cached[1]
-
-    def _store_feature_spec(self, store, side: str) -> tuple[str, tuple[int, int]]:
-        """(path, shape) of the store's step-0 matrix, validated."""
-        dim = store.feature_dim(side)
-        if dim is None:
-            raise ValueError(f"graph is missing {side} features")
-        expected = self.user_dim if side == "user" else self.item_dim
-        if dim != expected:
-            raise ValueError(
-                f"{side} features have dim {dim}, module expects {expected}"
-            )
-        return str(store.feature_path(side)), (store.num(side), dim)
-
-    def _embed_all_sharded(
-        self, store, batch_size: int, pool, work_dir=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One mmap-to-mmap pass per step; see :meth:`embed_all_sharded`."""
-        from pathlib import Path
-
-        from repro.shard.storage import allocate_block, open_block
-
-        cfg = self.config
-        work = Path(work_dir) if work_dir is not None else store.path / "embed"
-        work.mkdir(parents=True, exist_ok=True)
-        sampler = self._shard_sampler(store)
-        current = {
-            side: self._store_feature_spec(store, side) for side in ("user", "item")
-        }
-        for step in range(1, cfg.num_steps + 1):
-            fanout = cfg.neighbor_samples[cfg.num_steps - step]
-            new: dict[str, tuple[str, tuple[int, int]]] = {}
-            for side in ("user", "item"):
-                other = "item" if side == "user" else "user"
-                # Double-buffered by step parity: the file this step
-                # overwrites held step-2's matrix, which nothing reads
-                # any more.
-                out_path = work / f"h_{side}_{step % 2}.bin"
-                out_shape = (store.num(side), cfg.embedding_dim)
-                allocate_block(out_path, np.float64, out_shape)
-                self._sharded_pass(
-                    store,
-                    sampler,
-                    current[side],
-                    current[other],
-                    (str(out_path), out_shape),
-                    step,
-                    side,
-                    fanout,
-                    batch_size,
-                    pool,
-                )
-                new[side] = (str(out_path), out_shape)
-            current = new
-        return (
-            open_block(current["user"][0], np.float64, current["user"][1], mode="r"),
-            open_block(current["item"][0], np.float64, current["item"][1], mode="r"),
-        )
-
-    def _sharded_pass(
-        self,
-        store,
-        sampler,
-        own_spec: tuple[str, tuple[int, int]],
-        other_spec: tuple[str, tuple[int, int]],
-        out_spec: tuple[str, tuple[int, int]],
-        step: int,
-        side: str,
-        fanout: int,
         batch_size: int,
         pool,
-    ) -> None:
-        """Step-``step`` matrices for ``side``, streamed through mmaps.
+        sample_seed: int,
+        rows: dict[str, np.ndarray] | None = None,
+        cached: dict[str, np.ndarray] | None = None,
+        out: dict[str, MappedMatrix] | None = None,
+    ) -> dict:
+        """Step-``step`` matrices of both sides from the step-``step-1``
+        matrices ``prev``: one :func:`_chunk_task` map over ``pool`` per
+        side (a worker then maps one side's output at a time).
 
-        Sampling happens here in the parent, chunk by chunk in the same
-        global order as the dense :meth:`_layerwise_pass` — that is the
-        fixed-order frontier exchange: the RNG stream, and therefore
-        every sampled id, matches the dense path regardless of shard
-        count or worker count.  Chunks are then grouped into one map
-        task per shard (a chunk belongs to the shard owning most of its
-        rows) so each worker streams one shard's blocks.
+        With ``rows`` (sorted global ids per side) only the chunks
+        holding those rows run, and only those rows are recomputed;
+        every other row is copied from ``cached`` (shorter when the
+        graph grew — new tail rows are always listed).  With ``out``
+        (per-side writable :class:`MappedMatrix`; ``prev`` then maps
+        files too) the tasks write their rows to disk and ``out`` comes
+        back.  Otherwise the matrices stay in RAM, shared with workers
+        for the map.
         """
-        n = store.num(side)
+        cfg = self.config
+        fanout = cfg.neighbor_samples[cfg.num_steps - step]
+        new = {}
+        # Mapped files already travel by path; only RAM matrices are shared.
+        sharing = pool if out is None else None
+        with shared_arrays(sharing, prev["user"], prev["item"]) as shared:
+            handles = dict(zip(_SIDES, shared))
+            for side in _SIDES:
+                n = source.num_users if side == "user" else source.num_items
+                plan = _chunk_plan(n, batch_size, None if rows is None else rows[side])
+                if cached is not None and not plan:
+                    new[side] = cached[side]  # nothing affected: shape unchanged
+                    continue
+                context = (
+                    source,
+                    side,
+                    handles[side],
+                    handles[_OTHER[side]],
+                    None if out is None else out[side],
+                    sample_seed,
+                    step,
+                    batch_size,
+                    fanout,
+                    self._step_params(step, side),
+                )
+                blocks = pool.map(
+                    _chunk_task, plan, context=context, label="sage.layerwise_chunk"
+                )
+                if out is not None:
+                    new[side] = out[side]
+                    continue
+                new[side] = np.empty((n, cfg.embedding_dim), dtype=np.float64)
+                if cached is not None:
+                    new[side][: len(cached[side])] = cached[side]
+                for (k, pick), block in zip(plan, blocks):
+                    start = k * batch_size
+                    new[side][_chunk_rows(start, start + len(block), pick)] = block
+        heartbeat("sage.layerwise", step, cfg.num_steps)
+        return new
+
+    def _step_params(self, step: int, side: str) -> dict:
+        """The step's weights as plain arrays, for :func:`_chunk_kernel`."""
         transform, weight = self._step_modules(step, side)
-        counter_add("sage.vertices_embedded", n)
-        own_shard = store.shard_of(side)
-        other = "item" if side == "user" else "user"
-        other_shard = store.shard_of(other)
-        chunks_per_shard: list[list[tuple[int, int, np.ndarray]]] = [
-            [] for s in range(store.num_shards)
-        ]
-        with span(
-            "shard.frontier_exchange", side=side, step=step, fanout=fanout
-        ):
-            for start in range(0, n, batch_size):
-                stop = min(start + batch_size, n)
-                observe("sage.frontier_size", stop - start)
-                heartbeat(
-                    f"shard.frontier.{side}", stop, n, step=step, fanout=fanout
-                )
-                chunk = np.arange(start, stop)
-                if side == "user":
-                    neigh = sampler.sample_items_for_users(chunk, fanout)
-                else:
-                    neigh = sampler.sample_users_for_items(chunk, fanout)
-                valid = neigh >= 0
-                cross = valid & (
-                    other_shard[np.where(valid, neigh, 0)]
-                    != own_shard[start:stop, None]
-                )
-                counter_add("shard.frontier_rows", int(valid.sum()))
-                counter_add("shard.frontier_cross_rows", int(cross.sum()))
-                home = int(
-                    np.bincount(
-                        own_shard[start:stop], minlength=store.num_shards
-                    ).argmax()
-                )
-                chunks_per_shard[home].append((start, stop, neigh))
-        params = {
+        return {
             "m_w": transform.weight.data,
-            "m_b": transform.bias.data if transform.bias is not None else None,
+            "m_b": None if transform.bias is None else transform.bias.data,
             "w_w": weight.weight.data,
-            "w_b": weight.bias.data if weight.bias is not None else None,
+            "w_b": None if weight.bias is None else weight.bias.data,
             "activation": self.config.activation,
             "aggregator": self.config.aggregator,
         }
-        tasks = [
-            (shard, chunks)
-            for shard, chunks in enumerate(chunks_per_shard)
-            if chunks
-        ]
-        pool.map(
-            _sharded_shard_task,
-            tasks,
-            context=(own_spec, other_spec, out_spec, params),
-            label="sage.sharded_shard",
-        )
+
+    def _step_files(self, store, step: int) -> dict[str, MappedMatrix]:
+        """Fresh writable files for ``step``'s matrices under
+        ``<store>/embed``, double-buffered by step parity: the file a
+        step replaces held step ``p-2``, which nothing reads any more."""
+        work = store.path / "embed"
+        work.mkdir(exist_ok=True)
+        files = {}
+        for side in _SIDES:
+            path = work / f"h_{side}_{step % 2}.bin"
+            shape = (store.num(side), self.config.embedding_dim)
+            allocate_block(path, np.float64, shape)
+            files[side] = MappedMatrix(path, shape, mode="r+")
+        return files
 
     def _aggregate(self, stacked: Tensor, valid: np.ndarray) -> Tensor:
         """AGGREGATE over the fan-out axis with a validity mask.

@@ -2,10 +2,12 @@
 
 A drop-in mirror of the dense unweighted
 :class:`~repro.graph.sampling.NeighborSampler`: given the same RNG state
-and the same query sequence it consumes the identical draw stream and
-returns the identical samples, because the store preserves global
-degrees and per-row neighbour order.  That equivalence is what lets the
-sharded ``embed_all`` path stay bitwise-equal to the dense one.
+and the same query it consumes the identical draws and returns the
+identical samples, because the store preserves global degrees and
+per-row neighbour order.  The layer-wise engine hands each chunk's
+sampler that chunk's content-addressed RNG, so the sharded
+``embed_all`` path stays bitwise-equal to the dense one wherever the
+chunk runs.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ global vertex ids (typically one bundle of HiGNN level-1 clusters — see
 shard, rows are stored in ascending global id and per-row neighbour
 order is exactly the source graph's CSR order.  That invariant is what
 keeps sampling — and therefore the sharded ``embed_all`` path — bitwise
-identical to the dense implementation.
+identical to the dense implementation.  A store pickles as its path, so
+a worker task given a store attaches its own read-only handle.
 
 Lifecycle mirrors :class:`~repro.parallel.shared.SharedMatrix`: the
 process that creates a store directory is the **owner** and is the only
@@ -25,7 +26,8 @@ directories are tracked in a module registry (:func:`active_shard_dirs`)
 so tests and the benchmark harness can sweep strays.
 
 The helpers :func:`open_block` / :func:`allocate_block` /
-:func:`write_block` are the sanctioned ``np.memmap`` call sites for the
+:func:`write_block` (and :class:`MappedMatrix`, which maps through
+:func:`open_block`) are the sanctioned ``np.memmap`` call sites for the
 whole repo (lint rule RPR205 flags raw ``np.memmap`` elsewhere).
 """
 
@@ -47,6 +49,7 @@ __all__ = [
     "open_block",
     "allocate_block",
     "write_block",
+    "MappedMatrix",
     "active_shard_dirs",
     "forget_shard_dir",
     "MANIFEST_SCHEMA",
@@ -99,15 +102,37 @@ def open_block(
 
 
 def allocate_block(path: str | Path, dtype: np.dtype, shape: tuple[int, ...]) -> None:
-    """Create (or reset) ``path`` sized for ``shape`` without writing data.
+    """Create (or replace) ``path`` sized for ``shape`` without writing data.
 
-    ``truncate`` produces a sparse file, so allocation cost is metadata
-    only; pages materialise as they are written.
+    An existing file is unlinked, not truncated, so live memmaps of it
+    keep their contents (and inode).  ``truncate`` produces a sparse
+    file, so allocation cost is metadata only; pages materialise as
+    they are written.
     """
     nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    Path(path).unlink(missing_ok=True)
     with open(path, "wb") as fh:
         if nbytes:
             fh.truncate(nbytes)
+
+
+class MappedMatrix:
+    """A float64 matrix file, mapped once per process that holds it.
+
+    Pickles to its ``(path, shape, mode)`` — as
+    :class:`~repro.parallel.SharedMatrix` pickles to its name — and the
+    receiver maps the same file, so workers read and write the parent's
+    on-disk step matrices without copies.
+    """
+
+    def __init__(
+        self, path: str | Path, shape: tuple[int, ...], mode: str = "r"
+    ) -> None:
+        self.path, self.shape, self.mode = str(path), tuple(shape), mode
+        self.array = open_block(self.path, np.float64, self.shape, mode=mode)
+
+    def __reduce__(self):
+        return (MappedMatrix, (self.path, self.shape, self.mode))
 
 
 def write_block(path: str | Path, array: np.ndarray, dtype: np.dtype) -> int:
@@ -525,6 +550,11 @@ class ShardedCSR:
         self._owner = False
         _LIVE_DIRS.discard(str(self.path))
         shutil.rmtree(self.path, ignore_errors=True)
+
+    def __reduce__(self):
+        # Travels as its path, the way SharedMatrix travels as its name:
+        # the receiver attaches its own (non-owner) handle.
+        return (ShardedCSR.open, (str(self.path),))
 
     def __enter__(self) -> "ShardedCSR":
         return self

@@ -1,22 +1,23 @@
 """Delta-aware online embedding refresh over cached layer-wise matrices.
 
-The layer-wise inference of PR 1 already caches the step ``p-1`` matrix
-while computing step ``p`` — exactly the structure Cascade-BGNN exploits
-for cheap per-layer recomputation.  :class:`StreamingEmbedder` keeps
-*all* per-step matrices alive between calls so that after a graph delta
-only the rows whose inputs could have changed are recomputed.
+Layer-wise inference caches the step ``p-1`` matrix while computing step
+``p`` — exactly the structure Cascade-BGNN exploits for cheap per-layer
+recomputation.  :class:`StreamingEmbedder` keeps *all* per-step matrices
+alive between calls so that after a graph delta only the rows whose
+inputs could have changed are recomputed.  Full and delta passes both
+run the model's one layer-wise engine
+(:meth:`repro.core.sage.BipartiteGraphSAGE._layerwise_pass`).
 
-Two design decisions make :meth:`StreamingEmbedder.refresh` **bitwise
-identical** to a full pass over the mutated graph (not merely close):
+Two properties of that engine make :meth:`StreamingEmbedder.refresh`
+**bitwise identical** to a full pass over the mutated graph (not merely
+close):
 
-1. **Content-addressed sampling.**  ``BipartiteGraphSAGE`` draws
-   neighbours from one sequential RNG stream, so recomputing a subset of
-   chunks would consume a different part of the stream than a full pass.
-   Here the RNG for every chunk is derived *purely from its coordinates*
-   — ``derive_rng(sample_seed, key, side, step, chunk_index)`` — so a
-   full pass and a delta pass draw identical neighbours for the same
-   chunk.  A row's draw reads only its own slot of the chunk's uniform
-   block and its own adjacency row (whose order the incremental graph
+1. **Content-addressed sampling.**  The RNG for every chunk's neighbour
+   draw is derived *purely from its coordinates* —
+   ``derive_rng(sample_seed, key, side, step, chunk_index)`` — so a full
+   pass and a delta pass draw identical neighbours for the same chunk.
+   A row's draw reads only its own slot of the chunk's uniform block
+   and its own adjacency row (whose order the incremental graph
    preserves), so rows left untouched keep draws identical to what a
    full pass would have drawn for them.
 
@@ -26,12 +27,12 @@ identical** to a full pass over the mutated graph (not merely close):
    across operand shapes, so the affected rows are not pushed through a
    smaller matmul.  Each chunk holding an affected row draws its whole
    neighbour block (as the full pass does), and
-   :func:`repro.core.sage._layerwise_chunk` gathers and aggregates only
+   :func:`repro.core.sage._chunk_kernel` gathers and aggregates only
    the selected rows, then scatters them into a zero matrix of the
    chunk's full shape.  Both matmuls therefore see the full pass's
    operand shapes and row positions, and the kept rows are identical
-   bytes, at any worker count (tasks are materialised and reduced in
-   fixed submission order).
+   bytes, at any worker count (results are reduced in fixed submission
+   order).
 
 The affected set is propagated conservatively: a row is affected at step
 ``p`` if it is new, its adjacency changed (dirty), it was affected at
@@ -50,21 +51,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.sage import _layerwise_chunk
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.sampling import NeighborSampler
 from repro.obs import span
 from repro.obs.metrics import counter_add, observe
-from repro.parallel import get_pool, shared_arrays
+from repro.parallel import get_pool
 from repro.streaming.incremental import IncrementalBipartiteGraph
-from repro.utils.rng import derive_rng
 
 __all__ = ["RefreshStats", "StreamingEmbedder"]
 
-# Key separating the streaming sampling stream from every other
-# derive_rng consumer (the trainer uses small integer keys).
-_STREAM_KEY = 0x51BE
-_SIDE_ID = {"user": 0, "item": 1}
 _SIDES = ("user", "item")
 
 
@@ -110,7 +104,9 @@ class StreamingEmbedder:
         :meth:`refresh` (retrain → call :meth:`full_embed` again).
     sample_seed:
         Root of the content-addressed sampling stream.  Two embedders
-        with the same seed, model, and graph produce identical bytes.
+        with the same seed, model, and graph produce identical bytes;
+        at ``model.sample_seed`` they are the bytes of
+        ``model.embed_all``.
     batch_size:
         Chunk size of the layer-wise passes.  A refresh samples every
         chunk holding an affected row but recomputes only the affected
@@ -149,35 +145,22 @@ class StreamingEmbedder:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Embed every vertex, caching all per-step matrices.
 
-        Mathematically the same computation as
-        ``model.embed_all(mode="layerwise")`` — only the neighbour draws
-        come from the content-addressed stream instead of the model's
-        sequential one, which is what makes partial recomputation
-        exact.
+        The computation of ``model.embed_all(graph)`` with this
+        embedder's ``sample_seed`` and ``batch_size``.
         """
         pool = get_pool(workers)
-        cfg = self.model.config
+        model = self.model
         with span(
             "streaming.full_embed",
             num_users=graph.num_users,
             num_items=graph.num_items,
         ):
-            h: list[dict[str, np.ndarray]] = [
-                {side: self.model._features(graph, side) for side in _SIDES}
-            ]
-            for step in range(1, cfg.num_steps + 1):
+            h = [{side: model._features(graph, side) for side in _SIDES}]
+            for step in range(1, model.config.num_steps + 1):
                 h.append(
-                    {
-                        side: self._pass(
-                            graph,
-                            h[step - 1][side],
-                            h[step - 1]["item" if side == "user" else "user"],
-                            step,
-                            side,
-                            pool,
-                        )
-                        for side in _SIDES
-                    }
+                    model._layerwise_pass(
+                        graph, h[-1], step, self.batch_size, pool, self.sample_seed
+                    )
                 )
         self._h = h
         self._shape = (graph.num_users, graph.num_items)
@@ -273,14 +256,17 @@ class StreamingEmbedder:
             raise ValueError("dirty item id out of range")
 
         # Conservative affected-set propagation, one mask pair per step.
-        # base = adjacency-dirty ∪ new rows (affects every step >= 1);
+        # base = adjacency-dirty ∪ grown chunks (affects every step >= 1);
         # aff_p = base ∪ aff_{p-1} ∪ neighbours(aff_{p-1} of other side).
+        # A grown side's old last chunk gains rows, so its matmuls change
+        # shape: its old rows are recomputed with the new ones.
+        bs = self.batch_size
         base_u = np.zeros(nu, dtype=bool)
         base_u[dirty_users] = True
-        base_u[old_nu:] = True
+        base_u[old_nu - old_nu % bs if nu > old_nu else nu :] = True
         base_i = np.zeros(ni, dtype=bool)
         base_i[dirty_items] = True
-        base_i[old_ni:] = True
+        base_i[old_ni - old_ni % bs if ni > old_ni else ni :] = True
         aff_u = np.zeros(nu, dtype=bool)  # step 0: only new feature rows
         aff_u[old_nu:] = True
         aff_i = np.zeros(ni, dtype=bool)
@@ -317,32 +303,24 @@ class StreamingEmbedder:
         # of each chunk holding one.  New rows (>= old_n) are marked
         # affected at every step, so they are always recomputed.
         pool = get_pool(workers)
-        h = self._h
-        new_h: list[dict[str, np.ndarray]] = [
-            {side: self.model._features(graph, side) for side in _SIDES}
-        ]
+        h = [{side: self.model._features(graph, side) for side in _SIDES}]
         chunks_recomputed = 0
         for step in range(1, steps + 1):
-            new_step: dict[str, np.ndarray] = {}
-            for side in _SIDES:
-                affected = np.flatnonzero(per_step[step - 1][side])
-                cached = h[step][side]
-                if len(affected) == 0:
-                    new_step[side] = cached  # shape unchanged: no new rows
-                    continue
-                chunks_recomputed += len(np.unique(affected // self.batch_size))
-                new_step[side] = self._pass(
+            rows = {side: np.flatnonzero(per_step[step - 1][side]) for side in _SIDES}
+            chunks_recomputed += sum(len(np.unique(r // bs)) for r in rows.values())
+            h.append(
+                self.model._layerwise_pass(
                     graph,
-                    new_h[step - 1][side],
-                    new_h[step - 1]["item" if side == "user" else "user"],
+                    h[-1],
                     step,
-                    side,
+                    bs,
                     pool,
-                    rows=affected,
-                    cached=cached,
+                    self.sample_seed,
+                    rows=rows,
+                    cached=self._h[step],
                 )
-            new_h.append(new_step)
-        self._h = new_h
+            )
+        self._h = h
         self._shape = (nu, ni)
         self.last_stats = RefreshStats(
             mode="delta",
@@ -356,83 +334,6 @@ class StreamingEmbedder:
         )
         return self.embeddings
 
-    # ------------------------------------------------------------------
-    # Shared pass machinery
-    # ------------------------------------------------------------------
     def _num_chunks(self, nu: int, ni: int) -> int:
         bs = self.batch_size
         return (nu + bs - 1) // bs + (ni + bs - 1) // bs
-
-    def _chunk_rng(self, side: str, step: int, chunk: int) -> np.random.Generator:
-        """The pure-function RNG for one chunk's neighbour draw."""
-        return derive_rng(
-            self.sample_seed, _STREAM_KEY, _SIDE_ID[side], step, chunk
-        )
-
-    def _pass(
-        self,
-        graph: BipartiteGraph,
-        own_prev: np.ndarray,
-        other_prev: np.ndarray,
-        step: int,
-        side: str,
-        pool,
-        rows: np.ndarray | None = None,
-        cached: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Step-``step`` matrix for ``side``; optionally only some rows.
-
-        With ``rows``/``cached`` set, only the sorted global ``rows`` are
-        recomputed and every other row is copied from ``cached`` (which
-        may be shorter when the graph grew — the tail rows are always in
-        ``rows``).  Each chunk holding a listed row still draws its whole
-        neighbour block from its content-addressed RNG, exactly as the
-        full pass does, and the kernel computes the listed rows at their
-        full-pass positions.
-        """
-        cfg = self.model.config
-        n = graph.num_users if side == "user" else graph.num_items
-        fanout = cfg.neighbor_samples[cfg.num_steps - step]
-        transform, weight = self.model._step_modules(step, side)
-        bs = self.batch_size
-        if rows is None:
-            plan = [(k, None) for k in range((n + bs - 1) // bs)]
-        else:
-            chunk_ids, first = np.unique(rows // bs, return_index=True)
-            plan = zip(chunk_ids, np.split(rows, first[1:]))
-        sampler = NeighborSampler(graph, rng=0)
-        tasks = []
-        for k, selected in plan:
-            start = int(k) * bs
-            stop = min(start + bs, n)
-            chunk = np.arange(start, stop)
-            sampler.rng = self._chunk_rng(side, step, int(k))
-            if side == "user":
-                neigh = sampler.sample_items_for_users(chunk, fanout)
-            else:
-                neigh = sampler.sample_users_for_items(chunk, fanout)
-            if selected is None:
-                tasks.append((start, stop, neigh))
-            else:
-                tasks.append((start, stop, neigh, selected - start))
-        params = {
-            "m_w": transform.weight.data,
-            "m_b": transform.bias.data if transform.bias is not None else None,
-            "w_w": weight.weight.data,
-            "w_b": weight.bias.data if weight.bias is not None else None,
-            "activation": cfg.activation,
-            "aggregator": cfg.aggregator,
-        }
-        out = np.empty((n, cfg.embedding_dim), dtype=np.float64)
-        if cached is not None:
-            out[: len(cached)] = cached
-        with shared_arrays(pool, own_prev, other_prev) as (own_h, other_h):
-            blocks = pool.map(
-                _layerwise_chunk,
-                tasks,
-                context=(own_h, other_h, params),
-                label="streaming.layerwise_chunk",
-            )
-        for (start, stop, _neigh, *local), block in zip(tasks, blocks):
-            out[local[0] + start if local else slice(start, stop)] = block
-        return out

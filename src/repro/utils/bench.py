@@ -6,8 +6,7 @@ sampling, and K-means.  Each of those hot paths now has a
 batch-efficient implementation *and* a retained reference
 implementation, so this harness can report honest before/after numbers:
 
-* ``embed_all`` — naive recursive inference (``before``) vs the
-  dedup-frontier recursion (``recursive_dedup``) vs layer-wise
+* ``embed_all`` — naive recursive inference (``before``) vs layer-wise
   full-graph inference (``after``).
 * ``train_epoch`` — one training epoch with the naive recursion vs the
   dedup frontier.
@@ -261,8 +260,9 @@ def _sage_module(graph, seed: int):
 
 
 def _naive_embed_all(module, graph, batch_size: int = 2048) -> None:
-    """``embed_all(mode="recursive")`` through the per-occurrence
-    reference recursion ``_embed_naive`` (the "before" of both SAGE rows)."""
+    """Full-graph inference through the per-occurrence reference
+    recursion ``_embed_naive``, batch by batch (the "before" of both SAGE
+    rows)."""
     from repro.nn.tensor import no_grad
 
     steps = module.config.num_steps
@@ -288,15 +288,13 @@ def _naive_block(module) -> None:
 
 
 def _bench_embed_all(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
-    """Full-graph inference: naive recursion (``before``), the block
-    recursion of ``mode="recursive"`` (``recursive_dedup_s``) and the
+    """Full-graph inference: naive recursion (``before``) and the
     layer-wise pass (``after``)."""
     rows = []
     for size in GRAPH_SIZES[mode]:
         graph = _graph(size, feature_dim=8, seed=seed)
         module = _sage_module(graph, seed)
         before = _best_of(lambda: _naive_embed_all(module, graph), repeats)
-        dedup = _best_of(lambda: module.embed_all(graph, mode="recursive"), repeats)
         after = _best_of(lambda: module.embed_all(graph), repeats)
         vertices = _counter_during(
             lambda: module.embed_all(graph), "sage.vertices_embedded"
@@ -305,7 +303,6 @@ def _bench_embed_all(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]
             {
                 "graph": _graph_meta(size),
                 "before_s": round(before, 6),
-                "recursive_dedup_s": round(dedup, 6),
                 "after_s": round(after, 6),
                 "speedup": round(before / after, 2),
                 "vertices_embedded": int(vertices),
@@ -716,9 +713,7 @@ def _bench_shard(
             with store:
                 graph = store.to_graph()
                 before = _best_of(
-                    lambda: _shard_model(dim, seed).embed_all(
-                        graph, batch_size=1024, mode="layerwise"
-                    ),
+                    lambda: _shard_model(dim, seed).embed_all(graph, batch_size=1024),
                     repeats,
                 )
                 after = _best_of(
@@ -727,9 +722,7 @@ def _bench_shard(
                     ),
                     repeats,
                 )
-                zu_d, zi_d = _shard_model(dim, seed).embed_all(
-                    graph, batch_size=1024, mode="layerwise"
-                )
+                zu_d, zi_d = _shard_model(dim, seed).embed_all(graph, batch_size=1024)
                 zu_s, zi_s = _shard_model(dim, seed).embed_all(
                     store, batch_size=1024, workers=workers
                 )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sage import _NP_ACTIVATIONS, BipartiteGraphSAGE, _layerwise_chunk
+from repro.core.sage import _NP_ACTIVATIONS, BipartiteGraphSAGE, _chunk_kernel
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
 from repro.nn.gradcheck import check_gradient
@@ -171,11 +171,11 @@ def test_property_row_selected_chunk_equals_full_chunk_rows(
         "activation": activation,
         "aggregator": aggregator,
     }
-    context = (own_prev, other_prev, params)
     rows = np.flatnonzero(rng.random(chunk) < rng.random())
     if not len(rows):
         rows = np.array([int(rng.integers(chunk))])
-    full = _layerwise_chunk((start, stop, neigh), context)
-    selected = _layerwise_chunk((start, stop, neigh, rows), context)
+    own = own_prev[start:stop]
+    full = _chunk_kernel(own, other_prev, neigh, params)
+    selected = _chunk_kernel(own, other_prev, neigh, params, rows)
     assert selected.shape == (len(rows), out_dim)
     assert selected.tobytes() == full[rows].tobytes()

@@ -6,6 +6,10 @@ recursion computes whenever neighbour sampling is a pure function of
 the vertex.  These tests install such a deterministic sampler (first
 neighbours, cycled to the fan-out) and assert the rewrites agree with
 the retained reference paths, values and parameter gradients alike.
+The block step and the recursion read the module's cached sampler;
+the layer-wise engine builds one per chunk through the sampler factory
+``repro.core.sage._neighbor_sampler``, which the ``deterministic_engine``
+fixture swaps out.
 
 Under the real random sampler the training draws are distributional,
 not bitwise, relative to the earlier per-target recursion: a block
@@ -20,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core import sage
 from repro.core.sage import BipartiteGraphSAGE, _np_aggregate
 from repro.core.trainer import SageTrainer
 from repro.graph.bipartite import BipartiteGraph
@@ -32,8 +37,9 @@ from repro.utils.config import SageConfig, TrainConfig
 class DeterministicSampler:
     """Sample the first ``fanout`` neighbours, cycled — a pure function.
 
-    Mimics the ``NeighborSampler`` interface; carries the module's
-    ``_sample_rng`` so the per-graph sampler cache accepts it.
+    Mimics the ``NeighborSampler`` interface (and the sampler factory's
+    ``(source, rng)`` signature); carries the module's ``_sample_rng`` so
+    the per-graph sampler cache accepts it.
     """
 
     def __init__(self, graph, rng=None):
@@ -58,6 +64,12 @@ class DeterministicSampler:
 @pytest.fixture()
 def graph():
     return random_bipartite(30, 25, 120, feature_dim=6, rng=0)
+
+
+@pytest.fixture()
+def deterministic_engine(monkeypatch):
+    """Route the layer-wise engine's draws through DeterministicSampler."""
+    monkeypatch.setattr(sage, "_neighbor_sampler", DeterministicSampler)
 
 
 def _module(graph, deterministic=True, **overrides):
@@ -201,14 +213,18 @@ class TestBlockStep:
 
 
 class TestLayerwiseEquivalence:
+    @pytest.mark.usefixtures("deterministic_engine")
     @pytest.mark.parametrize("aggregator", ["mean", "sum", "max"])
     def test_layerwise_matches_recursive(self, graph, aggregator):
         mod = _module(graph, aggregator=aggregator)
         zu_layer, zi_layer = mod.embed_all(graph, batch_size=7, mode="layerwise")
-        zu_rec, zi_rec = mod.embed_all(graph, batch_size=7, mode="recursive")
+        with no_grad():
+            zu_rec = _naive(mod, graph, np.arange(graph.num_users), "user").data
+            zi_rec = _naive(mod, graph, np.arange(graph.num_items), "item").data
         np.testing.assert_allclose(zu_layer, zu_rec, atol=1e-12)
         np.testing.assert_allclose(zi_layer, zi_rec, atol=1e-12)
 
+    @pytest.mark.usefixtures("deterministic_engine")
     def test_layerwise_matches_naive_recursive(self, graph):
         mod = _module(graph)
         zu_layer, _ = mod.embed_all(graph, mode="layerwise")
@@ -229,11 +245,18 @@ class TestLayerwiseEquivalence:
             mod.embed_all(graph, mode="bogus")
 
     def test_streaming_mode_matches_layerwise_shapes(self, graph):
+        # embed_all and a StreamingEmbedder at the model's sample_seed
+        # are one computation.
+        from repro.streaming import StreamingEmbedder
+
         mod = _module(graph, deterministic=False)
-        zu, zi = mod.embed_all(graph, mode="streaming")
+        zu, zi = mod.embed_all(graph, batch_size=11)
+        streamed = StreamingEmbedder(
+            mod, sample_seed=mod.sample_seed, batch_size=11
+        ).full_embed(graph)
         assert zu.shape == (graph.num_users, 8)
-        assert zi.shape == (graph.num_items, 8)
-        assert np.all(np.isfinite(zu)) and np.all(np.isfinite(zi))
+        assert zu.tobytes() == streamed[0].tobytes()
+        assert zi.tobytes() == streamed[1].tobytes()
 
 
 class TestSamplerCache:
@@ -301,6 +324,7 @@ class TestMaskSkip:
         assert got_np.tobytes() == want.tobytes()
         assert got_tensor.data.tobytes() == want.tobytes()
 
+    @pytest.mark.usefixtures("deterministic_engine")
     @pytest.mark.parametrize("isolated", [False, True])
     def test_layerwise_matches_naive_with_and_without_isolated(self, graph, isolated):
         g = _with_isolated_vertices(graph) if isolated else graph

@@ -95,3 +95,24 @@ class TestTraining:
             return trainer.fit().final_loss
 
         assert run() == pytest.approx(run())
+
+    @pytest.mark.parametrize(
+        "graph_seed, model_seed, trainer_seed, want",
+        [
+            (0, 0, 0, ["0x1.0740cb9df59e2p+3", "0x1.d9ff935ec0676p+2", "0x1.af11461f6b776p+2"]),
+            (4, 1, 9, ["0x1.304d84a9ece3ep+3", "0x1.12895f1c62f3ap+3", "0x1.e619831b4cbe2p+2"]),
+        ],
+    )
+    def test_seeded_losses_pinned(self, graph_seed, model_seed, trainer_seed, want):
+        # Exact per-epoch losses recorded before the model gained its
+        # layer-wise ``sample_seed``: drawing that seed must not move the
+        # training draws.
+        from repro.graph.generators import random_bipartite
+
+        graph = random_bipartite(60, 50, 300, feature_dim=6, rng=graph_seed)
+        cfg = SageConfig(embedding_dim=8, neighbor_samples=(4, 3))
+        module = BipartiteGraphSAGE(6, 6, cfg, rng=model_seed)
+        result = SageTrainer(
+            module, graph, TrainConfig(epochs=3, batch_size=64), rng=trainer_seed
+        ).fit()
+        assert [loss.hex() for loss in result.epoch_losses] == want

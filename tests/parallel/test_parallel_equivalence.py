@@ -1,11 +1,13 @@
 """Seeded runs are bitwise-identical at any worker count.
 
-The ISSUE-4 determinism contract: every parallelised hot path
-(layer-wise ``embed_all``, k-means restarts + chunked assignment, the
-CVR score table) must produce *exactly* the same floats at ``workers=1``
-and ``workers=4`` for the same seed, and must leave no shared-memory
-segments behind.  Each run builds its model fresh from the seed so the
-two sides consume identical RNG streams.
+The determinism contract: every parallelised hot path (layer-wise
+``embed_all`` and the metrics its workers send back, k-means restarts +
+chunked assignment, the CVR score table) must produce *exactly* the
+same floats at ``workers=1`` and ``workers=4`` for the same seed, and
+must leave no shared-memory segments behind.  Each run builds its model
+fresh from the seed so the two sides consume identical RNG streams.
+The layer-wise contract (``tests/test_layerwise_contract.py``) states
+the embedding case over random graphs as well.
 """
 
 import numpy as np

@@ -1,4 +1,7 @@
-"""Out-of-core embed_all over shard blocks: bitwise parity with dense."""
+"""Out-of-core embed_all over shard blocks: bitwise parity with dense,
+argument checks, and results that outlive later passes.  The layer-wise
+contract (``tests/test_layerwise_contract.py``) states the parity over
+random graphs as well."""
 
 import numpy as np
 import pytest
@@ -61,3 +64,17 @@ def test_featureless_store_rejected(tmp_path):
     with graph.to_sharded(tmp_path / "s", num_shards=2) as store:
         with pytest.raises(ValueError):
             _model().embed_all(store)
+
+
+def test_later_pass_leaves_earlier_result_intact(tmp_path):
+    # Both passes write the same double-buffered step files; the second
+    # must replace them, not rewrite the pages the first result maps.
+    graph = _world(seed=2)
+    with graph.to_sharded(tmp_path / "s", num_shards=3) as store:
+        first = _model(seed=1).embed_all(store, batch_size=64)
+        second = _model(seed=2).embed_all(store, batch_size=64)
+        want = _model(seed=1).embed_all(graph, batch_size=64)
+        for got, expected, other in zip(first, want, second):
+            assert np.array_equal(np.asarray(got), expected)
+            assert not np.array_equal(np.asarray(got), np.asarray(other))
+        del first, second

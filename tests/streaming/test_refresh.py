@@ -8,10 +8,14 @@ The trick is content-addressed sampling (every chunk's neighbour draw is
 seeded by its coordinates, not by stream position) plus row-selected
 recomputation: each chunk holding an affected row draws its whole
 neighbour block, and the kernel computes only the affected rows at
-their full-chunk positions and operand shapes.
+their full-chunk positions and operand shapes.  The contract itself is
+property-tested in ``tests/test_layerwise_contract.py``; the cases here
+are worked examples and the refresh's own bookkeeping.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -113,6 +117,24 @@ class TestBitwiseEquivalence:
         )
         reference.full_embed(inc.graph)
         _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
+
+    def test_new_vertex_in_partial_last_chunk(self):
+        # The old last user chunk holds one row; a new user joins it, so
+        # that chunk's matmuls change shape and its old row is recomputed
+        # too (a one-row matmul may round differently from a two-row one).
+        graph = random_bipartite(1, 1, 1, feature_dim=5, rng=1)
+        cfg = SageConfig(embedding_dim=1, num_steps=1, neighbor_samples=(2,))
+        model = BipartiteGraphSAGE(5, 5, cfg, rng=1)
+        embedder = StreamingEmbedder(
+            model, sample_seed=3, batch_size=2, degrade_threshold=1.0
+        )
+        embedder.full_embed(graph)
+        inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+        inc.add_users(1, features=np.ones((1, 5)))
+        embedder.refresh(inc)
+        assert embedder.last_stats.rows_recomputed == 2  # both rows of the chunk
+        reference = StreamingEmbedder(model, sample_seed=3, batch_size=2)
+        _assert_bitwise_equal(embedder.embeddings, reference.full_embed(inc.graph))
 
     def test_chained_refreshes_match_full_embed(self):
         graph, model = _world()
@@ -253,6 +275,52 @@ class TestRefreshStats:
         embedder.refresh(inc)
         assert len(inc.dirty_users) == 0
         assert len(inc.dirty_items) == 0
+
+
+def _sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedBytes:
+    """``full_embed`` bytes recorded before the layer-wise engine was
+    unified: a given ``sample_seed`` must keep producing them, so the
+    serving path's embeddings are unchanged."""
+
+    @pytest.mark.parametrize(
+        "world, model_seed, sample_seed, batch_size, fanouts, aggregator, want",
+        [
+            (
+                (200, 150, 800, 0), 0, 0, 32, (4, 3), "mean",
+                "9a496129096b3fddd1aa1318af68ed25b1621d5ae5e3eb90d141bc09c651a55e",
+            ),
+            (
+                (120, 90, 500, 3), 5, 7, 16, (5, 2), "max",
+                "85dda242656727d3ade6e73f0bc21f338be7c42505cceb14c82c3698a423324a",
+            ),
+            (
+                (64, 300, 700, 11), 2, 123, 2048, (3, 3), "sum",
+                "5b1a9f8f67c5067eafe7c1487f6d7ae24384c9516c0f40cd7dd50240a94ac8bc",
+            ),
+        ],
+    )
+    def test_full_embed_sha256(
+        self, world, model_seed, sample_seed, batch_size, fanouts, aggregator, want
+    ):
+        num_users, num_items, num_edges, graph_seed = world
+        graph = random_bipartite(
+            num_users, num_items, num_edges, feature_dim=6, rng=graph_seed
+        )
+        cfg = SageConfig(
+            embedding_dim=8, neighbor_samples=fanouts, aggregator=aggregator
+        )
+        model = BipartiteGraphSAGE(6, 6, cfg, rng=model_seed)
+        embedder = StreamingEmbedder(
+            model, sample_seed=sample_seed, batch_size=batch_size
+        )
+        assert _sha256(embedder.full_embed(graph)) == want
 
 
 class TestErrorPaths:
