@@ -665,7 +665,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         "hit_rate": round(frontend.hit_rate, 3),
         "cache_evictions": frontend.cache.evictions,
-        "compactions": frontend.graph.compactions,
     }
     if args.as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -690,8 +689,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"total: {total_requests} requests, {report['req_per_sec']:,.0f} req/s, "
         f"hit rate {report['hit_rate']:.3f}, "
-        f"{report['cache_evictions']} evictions, "
-        f"{report['compactions']} compactions"
+        f"{report['cache_evictions']} evictions"
     )
     return 0
 

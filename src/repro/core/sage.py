@@ -51,13 +51,12 @@ import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.sampling import NeighborSampler
-from repro.nn.layers import Activation, Linear, Module
+from repro.nn.layers import _ACTIVATIONS, Activation, Linear, Module
 from repro.obs import span
 from repro.obs.metrics import counter_add, observe
 from repro.obs.monitor import heartbeat
 from repro.nn.tensor import Tensor, concat, no_grad, where
 from repro.parallel import as_ndarray, get_pool, shared_arrays
-from repro.shard.sampler import ShardedNeighborSampler
 from repro.shard.storage import MappedMatrix, allocate_block, open_block
 from repro.utils.config import SageConfig
 from repro.utils.rng import derive_rng, ensure_rng
@@ -65,41 +64,30 @@ from repro.utils.rng import derive_rng, ensure_rng
 __all__ = ["BipartiteGraphSAGE"]
 
 
-# ---------------------------------------------------------------------------
-# Layer-wise chunk kernel (plain numpy, runs in-process or in workers)
-# ---------------------------------------------------------------------------
-# These replicate the Tensor forward math operation-for-operation (same
-# numpy expressions, same order) so chunk outputs are bitwise identical
-# to the autograd path — and therefore identical for every worker count.
+def _aggregate(stacked: Tensor, valid: np.ndarray, agg: str) -> Tensor:
+    """AGGREGATE over the fan-out axis with a validity mask.
 
-_NP_ACTIVATIONS = {
-    "relu": lambda x: x * (x > 0),
-    "leaky_relu": lambda x: np.where(x > 0, x, 0.01 * x),
-    "tanh": np.tanh,
-    "sigmoid": lambda x: np.where(
-        x >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(x, -500, None))),
-        np.exp(np.clip(x, None, 500)) / (1.0 + np.exp(np.clip(x, None, 500))),
-    ),
-    "identity": lambda x: x,
-}
-
-
-def _np_aggregate(stacked: np.ndarray, valid: np.ndarray, agg: str) -> np.ndarray:
-    """Numpy mirror of :meth:`BipartiteGraphSAGE._aggregate`."""
+    ``stacked`` is (n, K, d); ``valid`` marks real neighbours (False
+    entries are padding for isolated vertices).  The training step and
+    the layer-wise kernel both run this one function.
+    """
+    # Masking with all-ones is exact, so it is skipped when every slot
+    # is valid (the common case: isolated vertices are rare).
     all_valid = valid.all()
     if agg == "max":
         if all_valid:
             return stacked.max(axis=1)
-        masked = np.where(valid[:, :, None], stacked, np.full(stacked.shape, -1e30))
-        any_valid = valid.any(axis=1)[:, None].astype(float)
-        return masked.max(axis=1) * any_valid
+        neg_inf = Tensor(np.full(stacked.shape, -1e30))
+        out = where(valid[:, :, None], stacked, neg_inf).max(axis=1)
+        return out * valid.any(axis=1)[:, None].astype(float)
     if agg not in ("mean", "weighted_mean", "sum"):
         raise ValueError(f"unknown aggregator {agg!r}")
     masked = stacked if all_valid else stacked * valid.astype(float)[:, :, None]
     summed = masked.sum(axis=1)
     if agg == "sum":
         return summed
+    # weighted_mean differs only in how neighbours are *sampled*
+    # (importance sampling by edge weight happens upstream).
     counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
     return summed * (1.0 / counts)
 
@@ -162,13 +150,6 @@ _SIDE_ID = {"user": 0, "item": 1}
 _OTHER = {"user": "item", "item": "user"}
 
 
-def _neighbor_sampler(source, rng: np.random.Generator):
-    """The neighbour sampler over ``source``, a graph or a shard store."""
-    if isinstance(source, BipartiteGraph):
-        return NeighborSampler(source, rng=rng)
-    return ShardedNeighborSampler(source, rng=rng)
-
-
 def _matrix(handle) -> np.ndarray:
     """A step matrix from its handle: an ndarray, a shared-memory
     handle, or a :class:`MappedMatrix`."""
@@ -184,7 +165,7 @@ def _chunk_kernel(
     params: dict,
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Eqs. 1–4 for one vertex chunk, in plain numpy.
+    """Eqs. 1–4 for one vertex chunk, outside autograd.
 
     ``own`` holds the chunk's step-``p-1`` rows, ``neigh`` its sampled
     neighbours as row ids of ``other_prev`` (-1 for none), ``params``
@@ -193,13 +174,17 @@ def _chunk_kernel(
     aggregated rows are scattered into a zero matrix of the full chunk
     shape first, so both matmuls see the operand shapes and row
     positions of the full-chunk call: the returned rows equal the same
-    rows of the full-chunk result bitwise, whatever the BLAS.
+    rows of the full-chunk result bitwise, whatever the BLAS.  The
+    aggregate and the activation are the training path's Tensor
+    functions, run under ``no_grad``; they evaluate plain numpy
+    expressions, so the bytes match the autograd forward.
     """
     if rows is not None:
         neigh = neigh[rows]
     valid = neigh >= 0
     stacked = other_prev[np.where(valid, neigh, 0)]
-    aggregated = _np_aggregate(stacked, valid, params["aggregator"])
+    with no_grad():
+        aggregated = _aggregate(Tensor(stacked), valid, params["aggregator"]).data
     if rows is not None:
         scattered = np.zeros((len(own), aggregated.shape[1]))
         scattered[rows] = aggregated
@@ -213,7 +198,8 @@ def _chunk_kernel(
         z = z[rows]
     if params["w_b"] is not None:
         z = z + params["w_b"]
-    return _NP_ACTIVATIONS[params["activation"]](z)  # Eq. 3 / Eq. 4
+    with no_grad():
+        return _ACTIVATIONS[params["activation"]](Tensor(z)).data  # Eq. 3 / Eq. 4
 
 
 def _chunk_task(task: tuple, context: tuple) -> np.ndarray | None:
@@ -233,8 +219,8 @@ def _chunk_task(task: tuple, context: tuple) -> np.ndarray | None:
     own_prev, other_prev = _matrix(own), _matrix(other)
     start = chunk * batch_size
     stop = min(start + batch_size, len(own_prev))
-    sampler = _neighbor_sampler(
-        source, derive_rng(sample_seed, _STREAM_KEY, _SIDE_ID[side], step, chunk)
+    sampler = NeighborSampler(
+        source, rng=derive_rng(sample_seed, _STREAM_KEY, _SIDE_ID[side], step, chunk)
     )
     vertices = np.arange(start, stop)
     if side == "user":
@@ -492,7 +478,7 @@ class BipartiteGraphSAGE(Module):
         ``valid``'s (n, K) order.
         """
         stacked = neigh_prev.reshape(valid.shape[0], valid.shape[1], neigh_prev.shape[1])
-        aggregated = self._aggregate(stacked, valid)
+        aggregated = _aggregate(stacked, valid, self.config.aggregator)
         transform, weight = self._step_modules(step, side)
         transformed = transform(aggregated)  # Eq. 1 / Eq. 2
         combined = concat([own_prev, transformed], axis=-1)
@@ -618,30 +604,3 @@ class BipartiteGraphSAGE(Module):
             allocate_block(path, np.float64, shape)
             files[side] = MappedMatrix(path, shape, mode="r+")
         return files
-
-    def _aggregate(self, stacked: Tensor, valid: np.ndarray) -> Tensor:
-        """AGGREGATE over the fan-out axis with a validity mask.
-
-        ``stacked`` is (n, K, d); ``valid`` marks real neighbours (False
-        entries are padding for isolated vertices).
-        """
-        agg = self.config.aggregator
-        # Masking with all-ones is exact, so it is skipped when every
-        # slot is valid (the common case: isolated vertices are rare).
-        all_valid = valid.all()
-        if agg == "max":
-            if all_valid:
-                return stacked.max(axis=1)
-            neg_inf = Tensor(np.full(stacked.shape, -1e30))
-            out = where(valid[:, :, None], stacked, neg_inf).max(axis=1)
-            return out * valid.any(axis=1)[:, None].astype(float)
-        if agg not in ("mean", "weighted_mean", "sum"):
-            raise ValueError(f"unknown aggregator {agg!r}")
-        masked = stacked if all_valid else stacked * valid.astype(float)[:, :, None]
-        summed = masked.sum(axis=1)
-        if agg == "sum":
-            return summed
-        # weighted_mean differs only in how neighbours are *sampled*
-        # (importance sampling by edge weight happens upstream).
-        counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
-        return summed * (1.0 / counts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BipartiteGraph"]
+__all__ = ["BipartiteGraph", "check_edges", "slice_positions"]
 
 
 def _edge_keys(edges: np.ndarray, num_users: int, num_items: int) -> np.ndarray:
@@ -23,6 +23,51 @@ def _edge_keys(edges: np.ndarray, num_users: int, num_items: int) -> np.ndarray:
     return edges[:, 0] * num_items + edges[:, 1]
 
 
+def check_edges(
+    edges: np.ndarray, weights: np.ndarray | None, num_users: int, num_items: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(edges, weights)`` as ``(n, 2)`` int64 pairs and float64 weights.
+
+    Rejects ids outside ``[0, num_users) x [0, num_items)``, weights that
+    do not align one-to-one with the edges, and weights that are not
+    finite and positive.  ``weights=None`` means every weight is 1.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if weights is None:
+        weights = np.ones(len(edges), dtype=np.float64)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (len(edges),):
+            raise ValueError("weights must align one-to-one with edges")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError(
+                "edge weights (connection strengths) must be finite and positive"
+            )
+    if len(edges):
+        if edges[:, 0].min() < 0 or edges[:, 0].max() >= num_users:
+            raise ValueError("user index out of range")
+        if edges[:, 1].min() < 0 or edges[:, 1].max() >= num_items:
+            raise ValueError("item index out of range")
+    return edges, weights
+
+
+def slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat gather index for variable-length slices ``[s, s+len)``.
+
+    ``concatenate([arange(s, s+l) for s, l in zip(starts, lengths)])``
+    without the python loop: the index of a run of CSR rows.
+    """
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    resets = np.concatenate(([0], ends[:-1]))
+    return (
+        np.arange(total, dtype=np.int64)
+        + np.repeat(np.asarray(starts, dtype=np.int64) - resets, lengths)
+    )
+
+
 @dataclass(frozen=True)
 class _CSR:
     """One direction of adjacency in compressed sparse row form."""
@@ -30,6 +75,7 @@ class _CSR:
     indptr: np.ndarray  # (n_rows + 1,)
     indices: np.ndarray  # (n_edges,) column ids
     weights: np.ndarray  # (n_edges,)
+    degrees: np.ndarray  # (n_rows,) read-only
 
     def neighbors(self, row: int) -> np.ndarray:
         return self.indices[self.indptr[row] : self.indptr[row + 1]]
@@ -70,20 +116,7 @@ class BipartiteGraph:
     ) -> None:
         if num_users <= 0 or num_items <= 0:
             raise ValueError("both vertex sets must be non-empty")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if weights is None:
-            weights = np.ones(len(edges), dtype=np.float64)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (len(edges),):
-                raise ValueError("weights must align one-to-one with edges")
-            if len(weights) and weights.min() <= 0:
-                raise ValueError("edge weights (connection strengths) must be positive")
-        if len(edges):
-            if edges[:, 0].min() < 0 or edges[:, 0].max() >= num_users:
-                raise ValueError("user index out of range")
-            if edges[:, 1].min() < 0 or edges[:, 1].max() >= num_items:
-                raise ValueError("item index out of range")
+        edges, weights = check_edges(edges, weights, num_users, num_items)
 
         self.num_users = int(num_users)
         self.num_items = int(num_items)
@@ -126,7 +159,10 @@ class BipartiteGraph:
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         counts = np.bincount(sorted_rows, minlength=n_rows)
         indptr[1:] = np.cumsum(counts)
-        return _CSR(indptr=indptr, indices=cols[order], weights=weights[order])
+        counts.flags.writeable = False
+        return _CSR(
+            indptr=indptr, indices=cols[order], weights=weights[order], degrees=counts
+        )
 
     @staticmethod
     def _check_features(
@@ -188,10 +224,49 @@ class BipartiteGraph:
         return self._item_csr.degree(item)
 
     def user_degrees(self) -> np.ndarray:
-        return np.diff(self._user_csr.indptr)
+        return self._user_csr.degrees
 
     def item_degrees(self) -> np.ndarray:
-        return np.diff(self._item_csr.indptr)
+        return self._item_csr.degrees
+
+    # ------------------------------------------------------------------
+    # Array adjacency queries (shared with ShardedCSR)
+    # ------------------------------------------------------------------
+    def _csr(self, side: str) -> _CSR:
+        if side == "user":
+            return self._user_csr
+        if side == "item":
+            return self._item_csr
+        raise ValueError(f"side must be 'user' or 'item', got {side!r}")
+
+    def degrees(self, side: str) -> np.ndarray:
+        """Degree of every ``side`` vertex (read-only, computed once)."""
+        return self._csr(side).degrees
+
+    def gather_neighbors(
+        self, side: str, vertices: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """Neighbour ids at per-row ``offsets`` into each vertex's row.
+
+        ``offsets`` is ``(len(vertices), fanout)``.  Positions past the
+        last edge are clamped, so rows of degree 0 return garbage (-1 on
+        an edgeless side); callers mask them with :meth:`degrees`.
+        """
+        csr = self._csr(side)
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if len(csr.indices) == 0:
+            return np.full(offsets.shape, -1, dtype=np.int64)
+        positions = np.minimum(
+            csr.indptr[vertices][:, None] + offsets, len(csr.indices) - 1
+        )
+        return csr.indices[positions]
+
+    def adjacent(self, side: str, vertices: np.ndarray) -> np.ndarray:
+        """Neighbours of every ``side`` vertex in ``vertices``, rows
+        concatenated in order (ids of the other side, repeats kept)."""
+        csr = self._csr(side)
+        vertices = np.asarray(vertices, dtype=np.int64)
+        return csr.indices[slice_positions(csr.indptr[vertices], csr.degrees[vertices])]
 
     def has_edge(self, user: int, item: int) -> bool:
         return item in self.item_neighbors(user)

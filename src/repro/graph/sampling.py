@@ -1,7 +1,13 @@
 """Neighbour and negative samplers over bipartite graphs.
 
 ``NeighborSampler`` implements the fixed-fan-out sampling GraphSAGE uses
-(K1, K2 in the paper's complexity analysis, Section III-D).
+(K1, K2 in the paper's complexity analysis, Section III-D).  Its
+uniform draw reads a neighbour source through two array queries,
+``degrees(side)`` and ``gather_neighbors(side, vertices, offsets)``,
+which both an in-memory :class:`BipartiteGraph` and an out-of-core
+:class:`~repro.shard.storage.ShardedCSR` answer; the store keeps global
+degrees and per-row neighbour order, so the same RNG gives the same
+draws over a graph and its store.
 ``NegativeSampler`` draws the negatives of Eq. 5's ``P_n`` distribution
 — uniform, or proportional to degree^0.75 as in word2vec.
 """
@@ -27,14 +33,15 @@ class NeighborSampler:
     receive the placeholder index ``-1``, which callers map to a zero
     vector.
 
-    With ``weighted=True`` neighbours are drawn proportionally to their
-    edge weights (importance sampling for the ``weighted_mean``
-    aggregator).
+    ``graph`` is a :class:`BipartiteGraph` or a ``ShardedCSR`` store.
+    With ``weighted=True`` (graphs only) neighbours are drawn
+    proportionally to their edge weights (importance sampling for the
+    ``weighted_mean`` aggregator).
     """
 
     def __init__(
         self,
-        graph: BipartiteGraph,
+        graph,
         rng: int | np.random.Generator | None = None,
         weighted: bool = False,
     ) -> None:
@@ -42,6 +49,8 @@ class NeighborSampler:
         self.rng = ensure_rng(rng)
         self.weighted = weighted
         if weighted:
+            if not isinstance(graph, BipartiteGraph):
+                raise ValueError("weighted sampling needs an in-memory BipartiteGraph")
             self._user_cum = self._cumulative(graph._user_csr)
             self._item_cum = self._cumulative(graph._item_csr)
 
@@ -65,18 +74,17 @@ class NeighborSampler:
         vertices = np.asarray(vertices, dtype=np.int64)
         counter_add("sampler.samples_drawn", len(vertices) * fanout)
         counter_add("sampler.batches", 1)
-        csr = self.graph._user_csr if side == "user" else self.graph._item_csr
-        starts = csr.indptr[vertices]
-        degrees = csr.indptr[vertices + 1] - starts
         if self.weighted:
+            csr = self.graph._user_csr if side == "user" else self.graph._item_csr
+            starts = csr.indptr[vertices]
+            degrees = csr.indptr[vertices + 1] - starts
             return self._sample_weighted(csr, vertices, starts, degrees, fanout, side)
-        if len(csr.indices) == 0:
-            return np.full((len(vertices), fanout), -1, dtype=np.int64)
+        degrees = self.graph.degrees(side)[vertices]
         offsets = (
             self.rng.random((len(vertices), fanout)) * degrees[:, None]
         ).astype(np.int64)
-        positions = np.minimum(starts[:, None] + offsets, len(csr.indices) - 1)
-        return np.where(degrees[:, None] > 0, csr.indices[positions], -1)
+        picked = self.graph.gather_neighbors(side, vertices, offsets)
+        return np.where(degrees[:, None] > 0, picked, -1)
 
     def _sample_weighted(
         self,

@@ -4,8 +4,9 @@ Public surface:
 
 * :class:`ShardedCSR` / :class:`ShardedCSRBuilder` — per-shard
   memory-mapped CSR blocks with an owner/attach lifecycle.
-* :class:`ShardedNeighborSampler` — bitwise mirror of the dense
-  unweighted neighbour sampler over shard blocks.
+  A store answers the two array queries ``degrees(side)`` and
+  ``gather_neighbors(side, vertices, offsets)`` a graph answers, so
+  :class:`~repro.graph.sampling.NeighborSampler` draws over either.
 * :func:`partition_balanced` / :func:`partition_by_degree` /
   :func:`partition_from_hierarchy` — deterministic vertex → shard maps.
 * :func:`open_block` / :func:`allocate_block` / :func:`write_block` —
@@ -18,7 +19,6 @@ from repro.shard.partition import (
     partition_by_degree,
     partition_from_hierarchy,
 )
-from repro.shard.sampler import ShardedNeighborSampler
 from repro.shard.storage import (
     MANIFEST_SCHEMA,
     ShardedCSR,
@@ -33,7 +33,6 @@ from repro.shard.storage import (
 __all__ = [
     "ShardedCSR",
     "ShardedCSRBuilder",
-    "ShardedNeighborSampler",
     "pack_groups",
     "partition_balanced",
     "partition_by_degree",

@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.graph.bipartite import BipartiteGraph, slice_positions
 from repro.obs import span
 from repro.obs.metrics import counter_add
 from repro.obs.monitor import heartbeat
@@ -143,23 +144,6 @@ def write_block(path: str | Path, array: np.ndarray, dtype: np.dtype) -> int:
     return array.nbytes
 
 
-def _slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Flat gather index for variable-length slices ``[s, s+len)``.
-
-    ``concatenate([arange(s, s+l) for s, l in zip(starts, lengths)])``
-    without the python loop.
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    resets = np.concatenate(([0], ends[:-1]))
-    return (
-        np.arange(total, dtype=np.int64)
-        + np.repeat(np.asarray(starts, dtype=np.int64) - resets, lengths)
-    )
-
-
 class ShardedCSR:
     """A bipartite graph stored as per-shard memory-mapped CSR blocks.
 
@@ -245,7 +229,7 @@ class ShardedCSR:
                 for s in range(num_shards):
                     rows = np.flatnonzero(shard_arr == s)
                     lengths = degrees[rows]
-                    gather = _slice_positions(csr.indptr[rows], lengths)
+                    gather = slice_positions(csr.indptr[rows], lengths)
                     indptr = np.concatenate(([0], np.cumsum(lengths)))
                     write_block(
                         path / f"{side}_{s:03d}.indptr.bin", indptr, _INDEX_DTYPE
@@ -501,8 +485,6 @@ class ShardedCSR:
         each user's neighbours in stored order) — only for graphs that
         fit in RAM; the point of the store is that the big ones do not.
         """
-        from repro.graph.bipartite import BipartiteGraph
-
         self._check_open()
         with span("shard.to_graph", num_edges=self.num_edges):
             degrees = self._degrees["user"]
@@ -512,7 +494,7 @@ class ShardedCSR:
             for s in range(self.num_shards):
                 rows = self._rows["user"][s]
                 lengths = degrees[rows]
-                dest = _slice_positions(indptr_global[rows], lengths)
+                dest = slice_positions(indptr_global[rows], lengths)
                 edges[dest, 0] = np.repeat(rows, lengths)
                 edges[dest, 1] = self._block_indices("user", s)
                 weights[dest] = self._block_weights("user", s)

@@ -3,9 +3,10 @@
 Production serving means edges arriving continuously, not a frozen
 graph.  This package layers three pieces over the reproduction:
 
-* :class:`IncrementalBipartiteGraph` — O(delta) edge/vertex appends over
-  an existing :class:`~repro.graph.bipartite.BipartiteGraph` with a
-  dirty-vertex frontier and periodic compaction.
+* :class:`IncrementalBipartiteGraph` — a
+  :class:`~repro.graph.bipartite.BipartiteGraph` plus a pending delta
+  of O(delta) edge/vertex appends, folded into a new graph on read,
+  and a dirty-vertex frontier.
 * :class:`StreamingEmbedder` — layer-wise inference with cached per-step
   matrices and a delta-aware :meth:`~StreamingEmbedder.refresh` that
   recomputes only the P-hop out-neighbourhood of the dirty frontier,

@@ -1,118 +1,105 @@
-"""Incremental bipartite graph: O(delta) appends over a frozen CSR.
+"""Incremental bipartite graph: a graph plus a pending delta.
 
 :class:`~repro.graph.bipartite.BipartiteGraph` is immutable — its twin
 CSR layout is what makes neighbour queries O(degree) — so streaming
-updates are staged *next to* it: appended edges and vertices land in
-per-side overlay buffers (O(delta) per append, no CSR rebuild), and
-neighbour queries concatenate the frozen CSR row with the overlay row.
-Periodic **compaction** folds the overlay into a fresh CSR once it grows
-past a configurable fraction of the base graph, amortising the rebuild
-over many appends.
+updates are staged *next to* it: appended edges, vertices and feature
+rows wait in a pending delta (O(delta) per append, no CSR rebuild).
+Reading :attr:`IncrementalBipartiteGraph.graph` folds the pending delta
+into a new graph, which replaces the old one; that fold is the only
+compaction.  Every sampler and embedder reads the folded graph, so the
+graph's CSR is the one adjacency.
 
 Every mutation records its endpoints in a **dirty-vertex frontier**
 (:attr:`dirty_users` / :attr:`dirty_items`), which is exactly the seed
 set :meth:`repro.streaming.StreamingEmbedder.refresh` propagates P hops
 to find the embedding rows that need recomputation.  The frontier
-survives compaction and is cleared only by :meth:`clear_dirty` (i.e. by
-a successful refresh).
+survives folds and is cleared only by :meth:`clear_dirty` (i.e. by a
+successful refresh).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.bipartite import BipartiteGraph, _edge_keys
+from repro.graph.bipartite import BipartiteGraph, _edge_keys, check_edges
 from repro.obs.metrics import counter_add
 
 __all__ = ["IncrementalBipartiteGraph"]
 
+_SIDES = ("user", "item")
+
 
 class IncrementalBipartiteGraph:
-    """A :class:`BipartiteGraph` plus an O(delta) mutation overlay.
+    """A :class:`BipartiteGraph` plus a pending delta and a dirty frontier.
 
     Parameters
     ----------
     base:
-        The frozen starting graph.
-    compact_threshold:
-        Auto-compact when pending edges exceed this fraction of the base
-        graph's edge count (``None`` disables auto-compaction; call
-        :meth:`compact` manually).
+        The starting graph.
 
     Semantics mirror the immutable constructor: re-adding an existing
     (user, item) edge *increases its weight* (duplicates merge by
-    summing), and edge weights must be positive.  The materialised graph
-    keeps the base edges in their order with new edges following in
-    arrival order; a re-added edge is summed into its existing slot.
+    summing), and edge weights must be finite and positive.  The folded
+    graph keeps the earlier edges in their order with new edges
+    following in arrival order; a re-added edge is summed into its
+    existing slot.  So folding after every delta or once after a chain
+    of deltas gives the same graph.
     """
 
-    def __init__(
-        self,
-        base: BipartiteGraph,
-        compact_threshold: float | None = 0.25,
-    ) -> None:
-        if compact_threshold is not None and compact_threshold <= 0:
-            raise ValueError("compact_threshold must be positive (or None)")
-        self._base = base
-        self.compact_threshold = compact_threshold
-        self.compactions = 0
-        # Overlay state: appended edges as (user, item, weight) column
-        # buffers plus per-row adjacency for O(degree + delta) queries.
+    def __init__(self, base: BipartiteGraph) -> None:
+        self._graph = base
         self._pending_edges: list[np.ndarray] = []
         self._pending_weights: list[np.ndarray] = []
-        self._pending_user_adj: dict[int, list[tuple[int, float]]] = {}
-        self._pending_item_adj: dict[int, list[tuple[int, float]]] = {}
-        self._pending_user_features: list[np.ndarray] = []
-        self._pending_item_features: list[np.ndarray] = []
-        self._extra_users = 0
-        self._extra_items = 0
-        self._pending_edge_count = 0
-        self._dirty_users: set[int] = set()
-        self._dirty_items: set[int] = set()
-        self._materialised: BipartiteGraph | None = base
+        self._pending_features: dict[str, list[np.ndarray]] = {s: [] for s in _SIDES}
+        self._extra = dict.fromkeys(_SIDES, 0)
+        self._dirty: dict[str, set[int]] = {s: set() for s in _SIDES}
 
     # ------------------------------------------------------------------
     # Sizes
     # ------------------------------------------------------------------
     @property
     def num_users(self) -> int:
-        return self._base.num_users + self._extra_users
+        return self._graph.num_users + self._extra["user"]
 
     @property
     def num_items(self) -> int:
-        return self._base.num_items + self._extra_items
+        return self._graph.num_items + self._extra["item"]
 
     @property
     def pending_edges(self) -> int:
-        """Appended edges not yet folded into the base CSR."""
-        return self._pending_edge_count
+        """Appended edges not yet folded into the graph."""
+        return sum(len(e) for e in self._pending_edges)
 
     @property
     def num_edges(self) -> int:
-        """Deduplicated edge count (materialises the overlay if pending)."""
+        """Deduplicated edge count (folds the pending delta)."""
         return self.graph.num_edges
 
     @property
     def dirty_users(self) -> np.ndarray:
         """Sorted user ids touched since the last :meth:`clear_dirty`."""
-        return np.fromiter(sorted(self._dirty_users), dtype=np.int64, count=len(self._dirty_users))
+        return self._dirty_ids("user")
 
     @property
     def dirty_items(self) -> np.ndarray:
         """Sorted item ids touched since the last :meth:`clear_dirty`."""
-        return np.fromiter(sorted(self._dirty_items), dtype=np.int64, count=len(self._dirty_items))
+        return self._dirty_ids("item")
+
+    def _dirty_ids(self, side: str) -> np.ndarray:
+        dirty = self._dirty[side]
+        return np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
 
     @property
     def dirty_fraction(self) -> float:
         """Dirty vertices / all vertices — the degradation signal."""
-        return (len(self._dirty_users) + len(self._dirty_items)) / (
+        return (len(self._dirty["user"]) + len(self._dirty["item"])) / (
             self.num_users + self.num_items
         )
 
     def clear_dirty(self) -> None:
         """Reset the dirty frontier (call after a successful refresh)."""
-        self._dirty_users.clear()
-        self._dirty_items.clear()
+        for dirty in self._dirty.values():
+            dirty.clear()
 
     # ------------------------------------------------------------------
     # Mutation (O(delta) per call)
@@ -121,33 +108,14 @@ class IncrementalBipartiteGraph:
         self, edges: np.ndarray, weights: np.ndarray | None = None
     ) -> None:
         """Append (user, item) edges; duplicates merge by weight sum."""
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if weights is None:
-            weights = np.ones(len(edges), dtype=np.float64)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (len(edges),):
-                raise ValueError("weights must align one-to-one with edges")
-            if len(weights) and weights.min() <= 0:
-                raise ValueError("edge weights must be positive")
+        edges, weights = check_edges(edges, weights, self.num_users, self.num_items)
         if not len(edges):
             return
-        if edges[:, 0].min() < 0 or edges[:, 0].max() >= self.num_users:
-            raise ValueError("user index out of range")
-        if edges[:, 1].min() < 0 or edges[:, 1].max() >= self.num_items:
-            raise ValueError("item index out of range")
         self._pending_edges.append(edges)
         self._pending_weights.append(weights)
-        self._pending_edge_count += len(edges)
-        for (u, i), w in zip(edges, weights):
-            u, i, w = int(u), int(i), float(w)
-            self._pending_user_adj.setdefault(u, []).append((i, w))
-            self._pending_item_adj.setdefault(i, []).append((u, w))
-        self._dirty_users.update(int(u) for u in edges[:, 0])
-        self._dirty_items.update(int(i) for i in edges[:, 1])
-        self._materialised = None
+        self._dirty["user"].update(edges[:, 0].tolist())
+        self._dirty["item"].update(edges[:, 1].tolist())
         counter_add("streaming.edges_appended", len(edges))
-        self._maybe_compact()
 
     def add_users(
         self, count: int = 1, features: np.ndarray | None = None
@@ -167,92 +135,57 @@ class IncrementalBipartiteGraph:
         if count < 1:
             raise ValueError("count must be >= 1")
         base_feats = (
-            self._base.user_features if side == "user" else self._base.item_features
+            self._graph.user_features if side == "user" else self._graph.item_features
         )
         if base_feats is not None:
             if features is None:
                 raise ValueError(
                     f"base graph has {side} features; new {side}s need feature rows"
                 )
-            features = np.asarray(features, dtype=np.float64).reshape(count, -1)
-            if features.shape[1] != base_feats.shape[1]:
+            features = np.asarray(features, dtype=np.float64)
+            want = (count, base_feats.shape[1])
+            if features.shape != want:
                 raise ValueError(
-                    f"{side} features must have dim {base_feats.shape[1]}, "
-                    f"got {features.shape[1]}"
+                    f"{side} features must have shape (count, dim) = {want}, "
+                    f"got {features.shape}"
                 )
+            if not np.isfinite(features).all():
+                raise ValueError(f"{side} features must be finite")
+            self._pending_features[side].append(features)
         elif features is not None:
             raise ValueError(f"base graph has no {side} features to extend")
         start = self.num_users if side == "user" else self.num_items
         ids = np.arange(start, start + count, dtype=np.int64)
-        if side == "user":
-            self._extra_users += count
-            if features is not None:
-                self._pending_user_features.append(features)
-            self._dirty_users.update(int(v) for v in ids)
-        else:
-            self._extra_items += count
-            if features is not None:
-                self._pending_item_features.append(features)
-            self._dirty_items.update(int(v) for v in ids)
-        self._materialised = None
+        self._extra[side] += count
+        self._dirty[side].update(ids.tolist())
         counter_add(f"streaming.{side}s_appended", count)
         return ids
 
     # ------------------------------------------------------------------
-    # Overlay queries (O(degree + per-row delta))
-    # ------------------------------------------------------------------
-    def item_neighbors(self, user: int) -> np.ndarray:
-        """Items adjacent to ``user``: frozen CSR row + overlay appends."""
-        pending = self._pending_user_adj.get(int(user))
-        base = (
-            self._base.item_neighbors(user)
-            if user < self._base.num_users
-            else np.empty(0, dtype=np.int64)
-        )
-        if not pending:
-            return base
-        return np.concatenate([base, np.array([i for i, _ in pending], dtype=np.int64)])
-
-    def user_neighbors(self, item: int) -> np.ndarray:
-        """Users adjacent to ``item``: frozen CSR row + overlay appends."""
-        pending = self._pending_item_adj.get(int(item))
-        base = (
-            self._base.user_neighbors(item)
-            if item < self._base.num_items
-            else np.empty(0, dtype=np.int64)
-        )
-        if not pending:
-            return base
-        return np.concatenate([base, np.array([u for u, _ in pending], dtype=np.int64)])
-
-    def user_degree(self, user: int) -> int:
-        base = self._base.user_degree(user) if user < self._base.num_users else 0
-        return base + len(self._pending_user_adj.get(int(user), ()))
-
-    def item_degree(self, item: int) -> int:
-        base = self._base.item_degree(item) if item < self._base.num_items else 0
-        return base + len(self._pending_item_adj.get(int(item), ()))
-
-    # ------------------------------------------------------------------
-    # Materialisation and compaction
+    # The fold
     # ------------------------------------------------------------------
     @property
     def graph(self) -> BipartiteGraph:
         """The current graph as an immutable :class:`BipartiteGraph`.
 
-        Cached between mutations; when the overlay is empty this *is*
-        the base graph (no copy).  Samplers and embedders consume this
-        view — the refresh path builds it once per refresh, so the
-        rebuild cost is amortised exactly like compaction.
+        Folds a pending delta into a new graph first (counted as
+        ``streaming.compactions``); with nothing pending this is the
+        graph the last fold (or the constructor) produced, not a copy.
         """
-        if self._materialised is None:
-            self._materialised = self._materialise()
-        return self._materialised
+        if self._pending_edges or any(self._extra.values()):
+            self._graph = self._materialise()
+            self._pending_edges.clear()
+            self._pending_weights.clear()
+            for pending in self._pending_features.values():
+                pending.clear()
+            self._extra = dict.fromkeys(_SIDES, 0)
+            counter_add("streaming.compactions", 1)
+        return self._graph
 
     def _materialise(self) -> BipartiteGraph:
-        base = self._base
-        edges, weights = base.edges, base.edge_weights
-        if self._pending_edge_count:
+        graph = self._graph
+        edges, weights = graph.edges, graph.edge_weights
+        if self._pending_edges:
             edges, weights = self._merge_in_arrival_order(
                 np.concatenate([edges] + self._pending_edges),
                 np.concatenate([weights] + self._pending_weights),
@@ -284,51 +217,15 @@ class IncrementalBipartiteGraph:
         return edges[first[order]], summed[order]
 
     def _extended_features(self, side: str) -> np.ndarray | None:
-        base = self._base.user_features if side == "user" else self._base.item_features
-        if base is None:
-            return None
-        pending = (
-            self._pending_user_features
-            if side == "user"
-            else self._pending_item_features
-        )
-        if not pending:
+        base = self._graph.user_features if side == "user" else self._graph.item_features
+        pending = self._pending_features[side]
+        if base is None or not pending:
             return base
         return np.concatenate([base] + pending)
-
-    def compact(self) -> BipartiteGraph:
-        """Fold the overlay into a fresh base CSR; returns the new base.
-
-        The dirty frontier is *not* cleared — compaction changes the
-        storage layout, not which embedding rows are stale.
-        """
-        if self._pending_edge_count or self._extra_users or self._extra_items:
-            self._base = self.graph  # materialises (and caches) first
-            self._pending_edges.clear()
-            self._pending_weights.clear()
-            self._pending_user_adj.clear()
-            self._pending_item_adj.clear()
-            self._pending_user_features.clear()
-            self._pending_item_features.clear()
-            self._extra_users = 0
-            self._extra_items = 0
-            self._pending_edge_count = 0
-            self.compactions += 1
-            counter_add("streaming.compactions", 1)
-        return self._base
-
-    def _maybe_compact(self) -> None:
-        if self.compact_threshold is None:
-            return
-        if self._pending_edge_count > self.compact_threshold * max(
-            self._base.num_edges, 1
-        ):
-            self.compact()
 
     def __repr__(self) -> str:
         return (
             f"IncrementalBipartiteGraph(users={self.num_users}, "
             f"items={self.num_items}, pending_edges={self.pending_edges}, "
-            f"dirty={len(self._dirty_users)}u/{len(self._dirty_items)}i, "
-            f"compactions={self.compactions})"
+            f"dirty={len(self._dirty['user'])}u/{len(self._dirty['item'])}i)"
         )

@@ -62,19 +62,6 @@ __all__ = ["RefreshStats", "StreamingEmbedder"]
 _SIDES = ("user", "item")
 
 
-def _csr_neighbors(csr, vertices: np.ndarray) -> np.ndarray:
-    """Concatenated CSR adjacency rows for ``vertices`` (vectorised)."""
-    if len(vertices) == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = csr.indptr[vertices]
-    counts = csr.indptr[vertices + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return csr.indices[np.repeat(starts, counts) + offsets]
-
-
 @dataclass(frozen=True)
 class RefreshStats:
     """What a :meth:`StreamingEmbedder.refresh` call actually did."""
@@ -274,9 +261,9 @@ class StreamingEmbedder:
         per_step: list[dict[str, np.ndarray]] = []
         for _p in range(1, steps + 1):
             next_u = base_u | aff_u
-            next_u[_csr_neighbors(graph._item_csr, np.flatnonzero(aff_i))] = True
+            next_u[graph.adjacent("item", np.flatnonzero(aff_i))] = True
             next_i = base_i | aff_i
-            next_i[_csr_neighbors(graph._user_csr, np.flatnonzero(aff_u))] = True
+            next_i[graph.adjacent("user", np.flatnonzero(aff_u))] = True
             per_step.append({"user": next_u, "item": next_i})
             aff_u, aff_i = next_u, next_i
 

@@ -830,7 +830,7 @@ def _bench_serving(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
     embedder = StreamingEmbedder(
         module, sample_seed=seed, batch_size=refresh_bs, degrade_threshold=1.0
     )
-    inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+    inc = IncrementalBipartiteGraph(graph)
     embedder.full_embed(inc.graph)
     delta = int(spec["delta_edges"])
     delta_rng = ensure_rng(seed + 1)

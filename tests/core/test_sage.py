@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sage import _NP_ACTIVATIONS, BipartiteGraphSAGE, _chunk_kernel
+from repro.core.sage import BipartiteGraphSAGE, _chunk_kernel
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
 from repro.nn.gradcheck import check_gradient
+from repro.nn.layers import _ACTIVATIONS
 from repro.utils.config import SageConfig
 
 
@@ -146,7 +147,7 @@ class TestGradients:
     other_dim=st.integers(1, 9),
     out_dim=st.integers(1, 9),
     aggregator=st.sampled_from(["mean", "sum", "max", "weighted_mean"]),
-    activation=st.sampled_from(sorted(_NP_ACTIVATIONS)),
+    activation=st.sampled_from(sorted(_ACTIVATIONS)),
     isolated=st.floats(0.0, 1.0),
     bias=st.booleans(),
     seed=st.integers(0, 10_000),

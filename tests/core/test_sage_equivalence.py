@@ -7,9 +7,8 @@ the vertex.  These tests install such a deterministic sampler (first
 neighbours, cycled to the fan-out) and assert the rewrites agree with
 the retained reference paths, values and parameter gradients alike.
 The block step and the recursion read the module's cached sampler;
-the layer-wise engine builds one per chunk through the sampler factory
-``repro.core.sage._neighbor_sampler``, which the ``deterministic_engine``
-fixture swaps out.
+the layer-wise engine builds a ``NeighborSampler`` per chunk, which the
+``deterministic_engine`` fixture swaps out in ``repro.core.sage``.
 
 Under the real random sampler the training draws are distributional,
 not bitwise, relative to the earlier per-target recursion: a block
@@ -25,7 +24,7 @@ import pytest
 
 from repro import obs
 from repro.core import sage
-from repro.core.sage import BipartiteGraphSAGE, _np_aggregate
+from repro.core.sage import BipartiteGraphSAGE, _aggregate
 from repro.core.trainer import SageTrainer
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
@@ -37,8 +36,8 @@ from repro.utils.config import SageConfig, TrainConfig
 class DeterministicSampler:
     """Sample the first ``fanout`` neighbours, cycled — a pure function.
 
-    Mimics the ``NeighborSampler`` interface (and the sampler factory's
-    ``(source, rng)`` signature); carries the module's ``_sample_rng`` so
+    Mimics the ``NeighborSampler`` interface and its ``(graph, rng)``
+    signature; carries the module's ``_sample_rng`` so
     the per-graph sampler cache accepts it.
     """
 
@@ -69,7 +68,7 @@ def graph():
 @pytest.fixture()
 def deterministic_engine(monkeypatch):
     """Route the layer-wise engine's draws through DeterministicSampler."""
-    monkeypatch.setattr(sage, "_neighbor_sampler", DeterministicSampler)
+    monkeypatch.setattr(sage, "NeighborSampler", DeterministicSampler)
 
 
 def _module(graph, deterministic=True, **overrides):
@@ -309,7 +308,7 @@ class TestMaskSkip:
 
     @pytest.mark.parametrize("aggregator", ["mean", "sum", "max", "weighted_mean"])
     @pytest.mark.parametrize("all_valid", [True, False])
-    def test_aggregate_bytes_match_masked_reference(self, graph, aggregator, all_valid):
+    def test_aggregate_bytes_match_masked_reference(self, aggregator, all_valid):
         rng = np.random.default_rng(1)
         stacked = rng.normal(size=(9, 4, 5))
         valid = np.ones((9, 4), dtype=bool)
@@ -317,12 +316,8 @@ class TestMaskSkip:
             valid[2] = False  # an isolated vertex
             valid[5, 1:] = False
         want = self._masked_reference(stacked, valid, aggregator)
-        got_np = _np_aggregate(stacked, valid, aggregator)
-        got_tensor = _module(graph, aggregator=aggregator)._aggregate(
-            Tensor(stacked), valid
-        )
-        assert got_np.tobytes() == want.tobytes()
-        assert got_tensor.data.tobytes() == want.tobytes()
+        got = _aggregate(Tensor(stacked), valid, aggregator)
+        assert got.data.tobytes() == want.tobytes()
 
     @pytest.mark.usefixtures("deterministic_engine")
     @pytest.mark.parametrize("isolated", [False, True])

@@ -41,6 +41,9 @@ class TestConstruction:
     def test_nonpositive_weight_raises(self):
         with pytest.raises(ValueError):
             BipartiteGraph(2, 2, np.array([[0, 0]]), np.array([0.0]))
+        for bad in (np.nan, np.inf):  # NaN slipped past ``min() <= 0``
+            with pytest.raises(ValueError, match="finite"):
+                BipartiteGraph(3, 3, np.array([[0, 0], [1, 1]]), np.array([bad, 1.0]))
 
     def test_weight_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -77,6 +80,10 @@ class TestQueries:
         assert g.item_degree(0) == 2
         assert np.array_equal(g.user_degrees(), [2, 1, 1])
         assert np.array_equal(g.item_degrees(), [2, 2])
+        assert g.degrees("user") is g.user_degrees()  # computed once
+        assert np.array_equal(g.degrees("item"), [2, 2])
+        with pytest.raises(ValueError, match="side"):
+            g.degrees("query")
 
     def test_has_edge_and_weight(self):
         g = _simple_graph()
@@ -146,6 +153,11 @@ def test_property_degree_sums_match_edges(n_users, n_items, seed):
     from_users = {(u, int(i)) for u in range(n_users) for i in g.item_neighbors(u)}
     from_items = {(int(u), i) for i in range(n_items) for u in g.user_neighbors(i)}
     assert from_users == from_items == g.edge_set()
+    # The multi-row query concatenates the rows it is asked for, in order.
+    rows = rng.integers(0, n_users, 5)
+    assert g.adjacent("user", rows).tolist() == [
+        int(i) for u in rows for i in g.item_neighbors(u)
+    ]
 
 
 def _merge_reference(edges, weights):

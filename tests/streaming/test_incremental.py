@@ -1,10 +1,12 @@
-"""Incremental graph overlay: O(delta) appends, dirty frontier, compaction."""
+"""Incremental graph: a graph plus a pending delta, folded on read."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
 from repro.streaming import IncrementalBipartiteGraph
@@ -25,25 +27,15 @@ def _edge_weight_map(graph: BipartiteGraph) -> dict[tuple[int, int], float]:
 
 class TestAppendSemantics:
     def test_appends_stay_in_overlay(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
-        before = inc._base.num_edges
+        base = _base()
+        inc = IncrementalBipartiteGraph(base)
         inc.add_edges(np.array([[0, 0], [1, 5]]))
         assert inc.pending_edges == 2
-        assert inc._base.num_edges == before  # base CSR untouched
-
-    def test_overlay_neighbor_queries(self):
-        base = _base()
-        inc = IncrementalBipartiteGraph(base, compact_threshold=None)
-        user, item = 3, 7
-        inc.add_edges(np.array([[user, item]]))
-        assert item in inc.item_neighbors(user)
-        assert user in inc.user_neighbors(item)
-        assert inc.user_degree(user) == base.user_degree(user) + 1
-        assert inc.item_degree(item) == base.item_degree(item) + 1
+        assert inc._graph is base  # nothing folds until the graph is read
 
     def test_materialised_graph_merges_duplicates_by_weight_sum(self):
         base = _base()
-        inc = IncrementalBipartiteGraph(base, compact_threshold=None)
+        inc = IncrementalBipartiteGraph(base)
         user, item = int(base.edges[0, 0]), int(base.edges[0, 1])
         existing = _edge_weight_map(base)[(user, item)]
         inc.add_edges(np.array([[user, item]]), np.array([2.5]))
@@ -52,7 +44,7 @@ class TestAppendSemantics:
 
     def test_materialised_graph_equals_from_scratch_build(self):
         base = _base()
-        inc = IncrementalBipartiteGraph(base, compact_threshold=None)
+        inc = IncrementalBipartiteGraph(base)
         new_edges = np.array([[2, 4], [9, 11], [2, 4]])
         inc.add_edges(new_edges)
         expected = BipartiteGraph(
@@ -80,13 +72,13 @@ class TestAppendSemantics:
         )
 
     def test_empty_append_is_a_noop(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
+        inc = IncrementalBipartiteGraph(_base())
         inc.add_edges(np.empty((0, 2), dtype=np.int64))
         assert inc.pending_edges == 0
         assert len(inc.dirty_users) == 0
 
     def test_rejects_out_of_range_and_bad_weights(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
+        inc = IncrementalBipartiteGraph(_base())
         with pytest.raises(ValueError, match="user index"):
             inc.add_edges(np.array([[999, 0]]))
         with pytest.raises(ValueError, match="item index"):
@@ -95,12 +87,16 @@ class TestAppendSemantics:
             inc.add_edges(np.array([[0, 0]]), np.array([0.0]))
         with pytest.raises(ValueError, match="align"):
             inc.add_edges(np.array([[0, 0]]), np.array([1.0, 2.0]))
+        for bad in (np.nan, np.inf):  # NaN slipped past ``min() <= 0``
+            with pytest.raises(ValueError, match="finite"):
+                inc.add_edges(np.array([[0, 1], [1, 1]]), np.array([bad, 1.0]))
+        assert inc.pending_edges == 0
 
 
 class TestVertexAppends:
     def test_add_users_returns_fresh_contiguous_ids(self):
         base = _base()
-        inc = IncrementalBipartiteGraph(base, compact_threshold=None)
+        inc = IncrementalBipartiteGraph(base)
         rng = np.random.default_rng(0)
         ids = inc.add_users(2, features=rng.normal(size=(2, 4)))
         assert list(ids) == [base.num_users, base.num_users + 1]
@@ -109,24 +105,30 @@ class TestVertexAppends:
         assert list(more) == [base.num_users + 2]
 
     def test_new_vertex_can_receive_edges(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
+        inc = IncrementalBipartiteGraph(_base())
         rng = np.random.default_rng(0)
         (user,) = inc.add_users(1, features=rng.normal(size=(1, 4)))
         (item,) = inc.add_items(1, features=rng.normal(size=(1, 4)))
         inc.add_edges(np.array([[user, item]]))
-        assert item in inc.item_neighbors(user)
         graph = inc.graph
+        assert item in graph.item_neighbors(user)
         assert graph.num_users == inc.num_users
         assert graph.user_features.shape == (inc.num_users, 4)
 
     def test_features_required_iff_base_has_them(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
+        inc = IncrementalBipartiteGraph(_base())
         with pytest.raises(ValueError, match="feature"):
             inc.add_users(1)
         with pytest.raises(ValueError, match="dim"):
             inc.add_users(1, features=np.zeros((1, 99)))
+        # Rows are taken as given, never repacked: eight values are two
+        # 4-dim rows only when laid out as (2, 4).  They must be finite.
+        for bad in (np.arange(8.0).reshape(4, 2), np.arange(8.0), np.full((2, 4), np.nan)):
+            with pytest.raises(ValueError, match="dim|finite"):
+                inc.add_users(2, features=bad)
+        assert inc.num_users == 30
         featureless = BipartiteGraph(10, 8, np.array([[0, 0], [1, 2]]))
-        bare = IncrementalBipartiteGraph(featureless, compact_threshold=None)
+        bare = IncrementalBipartiteGraph(featureless)
         bare.add_users(1)  # no features needed
         with pytest.raises(ValueError, match="no user features"):
             bare.add_users(1, features=np.zeros((1, 4)))
@@ -134,73 +136,120 @@ class TestVertexAppends:
 
 class TestDirtyFrontier:
     def test_edge_endpoints_marked_dirty(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
+        inc = IncrementalBipartiteGraph(_base())
         inc.add_edges(np.array([[5, 3], [7, 3]]))
         assert list(inc.dirty_users) == [5, 7]
         assert list(inc.dirty_items) == [3]
         assert inc.dirty_fraction == pytest.approx(3 / 50)
 
     def test_new_vertices_marked_dirty(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
+        inc = IncrementalBipartiteGraph(_base())
         rng = np.random.default_rng(0)
         ids = inc.add_users(2, features=rng.normal(size=(2, 4)))
         assert set(ids) <= set(int(u) for u in inc.dirty_users)
 
     def test_clear_dirty(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
+        inc = IncrementalBipartiteGraph(_base())
         inc.add_edges(np.array([[0, 0]]))
         inc.clear_dirty()
         assert len(inc.dirty_users) == 0
         assert len(inc.dirty_items) == 0
 
     def test_dirty_survives_compaction(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
+        inc = IncrementalBipartiteGraph(_base())
         inc.add_edges(np.array([[5, 3]]))
-        inc.compact()
+        inc.graph  # the fold
+        assert inc.pending_edges == 0
         assert list(inc.dirty_users) == [5]
         assert list(inc.dirty_items) == [3]
 
 
 class TestCompaction:
+    """Reading ``.graph`` folds the pending delta: the only compaction."""
+
     def test_round_trip_preserves_graph(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
+        base = _base()
+        inc = IncrementalBipartiteGraph(base)
         rng = np.random.default_rng(1)
         inc.add_edges(np.array([[2, 4], [9, 11]]), np.array([1.5, 2.0]))
-        (user,) = inc.add_users(1, features=rng.normal(size=(1, 4)))
+        feats = rng.normal(size=(1, 4))
+        (user,) = inc.add_users(1, features=feats)
         inc.add_edges(np.array([[user, 0]]))
-        before = inc.graph
-        inc.compact()
-        after = inc.graph
+        folded = inc.graph
         assert inc.pending_edges == 0
-        assert after is inc._base  # overlay folded in
-        assert np.array_equal(before.edges, after.edges)
-        assert np.array_equal(before.edge_weights, after.edge_weights)
-        assert np.array_equal(before.user_features, after.user_features)
-        assert np.array_equal(before.item_features, after.item_features)
+        assert inc.graph is folded  # a second read folds nothing
+        assert (folded.num_users, folded.num_items) == (base.num_users + 1, base.num_items)
+        assert np.array_equal(folded.edges[: base.num_edges], base.edges)
+        expected = _edge_weight_map(base)
+        for edge, weight in (((2, 4), 1.5), ((9, 11), 2.0), ((int(user), 0), 1.0)):
+            expected[edge] = expected.get(edge, 0.0) + weight
+        assert _edge_weight_map(folded) == expected
+        assert np.array_equal(folded.user_features, np.vstack([base.user_features, feats]))
+        assert folded.item_features is base.item_features
 
     def test_compact_on_clean_graph_is_a_noop(self):
         base = _base()
-        inc = IncrementalBipartiteGraph(base, compact_threshold=None)
-        assert inc.compact() is base
-        assert inc.compactions == 0
-
-    def test_auto_compaction_at_threshold(self):
-        base = _base(num_edges=90)
-        inc = IncrementalBipartiteGraph(base, compact_threshold=0.05)
-        # 0.05 * 90 = 4.5 -> fifth pending edge trips the compactor.
-        for step in range(5):
-            inc.add_edges(np.array([[step, step]]))
-        assert inc.compactions == 1
-        assert inc.pending_edges == 0
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="compact_threshold"):
-            IncrementalBipartiteGraph(_base(), compact_threshold=0.0)
+        inc = IncrementalBipartiteGraph(base)
+        with obs.observe() as session:
+            assert inc.graph is base
+            inc.add_edges(np.array([[1, 1]]))
+            inc.graph
+            inc.graph
+        assert session.counter("streaming.compactions") == 1
 
     def test_queries_identical_before_and_after_compaction(self):
-        inc = IncrementalBipartiteGraph(_base(), compact_threshold=None)
-        inc.add_edges(np.array([[3, 7], [3, 9]]))
-        before = {u: sorted(inc.item_neighbors(u)) for u in range(inc.num_users)}
-        inc.compact()
-        after = {u: sorted(inc.item_neighbors(u)) for u in range(inc.num_users)}
-        assert before == after
+        # The folded graph answers every neighbour query the base rows
+        # plus the pending appends answer, in that order.
+        base = _base()
+        inc = IncrementalBipartiteGraph(base)
+        delta = np.array([[3, 7], [3, 9], [5, 7]])
+        inc.add_edges(delta)
+        graph = inc.graph
+        for user in range(base.num_users):
+            appended = [i for u, i in delta.tolist() if u == user and i not in base.item_neighbors(user)]
+            assert graph.item_neighbors(user).tolist() == base.item_neighbors(user).tolist() + appended
+        for item in range(base.num_items):
+            appended = [u for u, i in delta.tolist() if i == item and u not in base.user_neighbors(item)]
+            assert graph.user_neighbors(item).tolist() == base.user_neighbors(item).tolist() + appended
+
+
+def _apply(inc: IncrementalBipartiteGraph, delta: tuple, rng: np.random.Generator) -> None:
+    """One delta: new users/items (with feature rows) then weighted edges,
+    some of them re-adds of existing edges."""
+    new_users, new_items, n_edges = delta
+    if new_users:
+        inc.add_users(new_users, features=rng.normal(size=(new_users, 3)))
+    if new_items:
+        inc.add_items(new_items, features=rng.normal(size=(new_items, 3)))
+    edges = np.column_stack(
+        [rng.integers(0, inc.num_users, n_edges), rng.integers(0, inc.num_items, n_edges)]
+    )
+    inc.add_edges(edges, rng.uniform(0.1, 3.0, n_edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    deltas=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 12)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_property_fold_per_delta_equals_one_fold(seed, deltas):
+    # Folding after every delta of a chain gives the bytes of one fold
+    # after the whole chain: edges, weights, features and dirty frontier.
+    base = random_bipartite(12, 9, 30, feature_dim=3, rng=seed)
+    each, once = IncrementalBipartiteGraph(base), IncrementalBipartiteGraph(base)
+    for k, delta in enumerate(deltas):
+        _apply(each, delta, np.random.default_rng([seed, k]))
+        each.graph
+        _apply(once, delta, np.random.default_rng([seed, k]))
+    a, b = each.graph, once.graph
+    assert (a.num_users, a.num_items) == (b.num_users, b.num_items)
+    assert a.edges.tobytes() == b.edges.tobytes()
+    assert a.edge_weights.tobytes() == b.edge_weights.tobytes()
+    assert a.user_features.tobytes() == b.user_features.tobytes()
+    assert a.item_features.tobytes() == b.item_features.tobytes()
+    assert np.array_equal(each.dirty_users, once.dirty_users)
+    assert np.array_equal(each.dirty_items, once.dirty_items)

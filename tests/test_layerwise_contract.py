@@ -126,7 +126,7 @@ def test_delta_refresh_equals_a_full_pass(workers, world, kinds, delta_seed):
         model, sample_seed=model.sample_seed, batch_size=batch_size, degrade_threshold=1.0
     )
     embedder.full_embed(graph, workers=workers)
-    inc = IncrementalBipartiteGraph(graph, compact_threshold=None)
+    inc = IncrementalBipartiteGraph(graph)
     for kind in kinds:
         _apply_delta(inc, kind, rng)
         embedder.refresh(inc, workers=workers)
