@@ -57,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="HiGNN reproduction experiment runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    task_rows = "rows per worker task; does not change the output"
 
     stats = sub.add_parser("stats", help="Table I/II dataset statistics")
     _common(stats)
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--shards", type=int, default=8)
     shard.add_argument("--mean-degree", type=float, default=8.0)
     shard.add_argument("--dim", type=int, default=16)
-    shard.add_argument("--batch-size", type=int, default=8192)
+    shard.add_argument("--batch-size", type=int, default=8192, help=task_rows)
     shard.add_argument("--seed", type=int, default=0)
     shard.add_argument(
         "--path",
@@ -162,9 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument("--microbatch", type=int, default=64)
-    serve.add_argument(
-        "--batch-size", type=int, default=256, help="embedding chunk size"
-    )
+    serve.add_argument("--batch-size", type=int, default=256, help=task_rows)
     serve.add_argument(
         "--degrade-threshold",
         type=float,

@@ -31,15 +31,16 @@ cf. Cascade-BGNN's redundancy elimination):
 
 One engine runs every layer-wise pass — dense and sharded
 :meth:`embed_all`, and :class:`~repro.streaming.StreamingEmbedder`'s
-full and delta passes.  :meth:`BipartiteGraphSAGE._layerwise_pass` plans
-one task per vertex chunk (every chunk, or the chunks holding a
-refresh's affected rows) over a neighbour source: a ``BipartiteGraph``
-or a ``ShardedCSR`` store.  :func:`_chunk_task` draws its chunk's
-neighbours from the content-addressed RNG
-``derive_rng(sample_seed, _STREAM_KEY, side, step, chunk)`` and embeds
-the chunk.  Draws depend only on a chunk's coordinates, never on
-execution order, so a graph and its shard store, any worker count, and
-a delta refresh of a subset of rows all give the same bytes.  Step
+full and delta passes — over a neighbour source: a ``BipartiteGraph``
+or a ``ShardedCSR`` store.  Each output row is a pure function of its
+vertex, its neighbours' step-``p-1`` rows and the weights: a vertex
+draws its neighbours from the counter hash ``(sample_seed, _STREAM_KEY,
+side, step)`` at counter ``(vertex, slot)``, and :func:`_chunk_kernel`
+runs both matmuls over whole ``_TILE``-row tiles (a BLAS may round a
+row differently with the number of rows in its call, but not with which
+rows they are).  Tasks of ``batch_size`` rows are only scheduling, so a
+graph and its shard store, any worker count, any ``batch_size`` and a
+delta refresh of a subset of rows all give the same bytes.  Step
 matrices live in RAM for graphs and in memory-mapped files for stores.
 """
 
@@ -50,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.sampling import NeighborSampler
+from repro.graph.sampling import NeighborSampler, sample_neighbors
 from repro.nn.layers import _ACTIVATIONS, Activation, Linear, Module
 from repro.obs import span
 from repro.obs.metrics import counter_add, observe
@@ -59,7 +60,7 @@ from repro.nn.tensor import Tensor, concat, no_grad, where
 from repro.parallel import as_ndarray, get_pool, shared_arrays
 from repro.shard.storage import MappedMatrix, allocate_block, open_block
 from repro.utils.config import SageConfig
-from repro.utils.rng import derive_rng, ensure_rng
+from repro.utils.rng import counter_uniforms, derive_rng, ensure_rng
 
 __all__ = ["BipartiteGraphSAGE"]
 
@@ -121,32 +122,22 @@ def _zero_padding(rows: Tensor, ids: np.ndarray) -> Tensor:
     return rows if mask.all() else rows * mask[:, None].astype(float)
 
 
-def _chunk_rows(start: int, stop: int, rows: np.ndarray | None):
-    """Global index of a chunk's selected ``rows`` (all rows when None)."""
-    return slice(start, stop) if rows is None else start + rows
-
-
-def _chunk_plan(n: int, batch_size: int, rows: np.ndarray | None) -> list[tuple]:
-    """``(chunk, chunk-local rows)`` tasks covering ``n`` vertices, or
-    only the chunks holding the sorted global ``rows``; counts the rows
-    each task embeds."""
-    if rows is None:
-        plan = [(k, None) for k in range(-(-n // batch_size))]
-    else:
-        chunks, first = np.unique(rows // batch_size, return_index=True)
-        picks = np.split(rows, first[1:])
-        plan = [(int(k), pick - k * batch_size) for k, pick in zip(chunks, picks)]
-    for k, pick in plan:
-        size = min(batch_size, n - k * batch_size) if pick is None else len(pick)
-        counter_add("sage.vertices_embedded", size)
-        observe("sage.frontier_size", size)
+def _chunk_plan(n: int, batch_size: int, rows: np.ndarray | None) -> list[np.ndarray]:
+    """``rows`` (default: all ``n`` vertices) split into tasks of at most
+    ``batch_size`` rows; counts the rows each task embeds."""
+    rows = np.arange(n) if rows is None else rows
+    plan = [rows[start : start + batch_size] for start in range(0, len(rows), batch_size)]
+    for pick in plan:
+        counter_add("sage.vertices_embedded", len(pick))
+        observe("sage.frontier_size", len(pick))
     return plan
 
 
-# Key separating the layer-wise sampling stream from every other
-# derive_rng consumer (the trainer uses small integer keys).
+# Key separating the layer-wise sampling stream from every other seed
+# consumer (the trainer derives its RNGs with small integer keys).
 _STREAM_KEY = 0x51BE
-_SIDE_ID = {"user": 0, "item": 1}
+# Rows per matmul tile in the layer-wise kernel.
+_TILE = 128
 _OTHER = {"user": "item", "item": "user"}
 
 
@@ -158,81 +149,68 @@ def _matrix(handle) -> np.ndarray:
     return as_ndarray(handle)
 
 
-def _chunk_kernel(
-    own: np.ndarray,
-    other_prev: np.ndarray,
-    neigh: np.ndarray,
-    params: dict,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Eqs. 1–4 for one vertex chunk, outside autograd.
+def _tiled_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` as one stacked matmul over ``_TILE``-row tiles, the last
+    zero-padded: every row is multiplied in a call of the same shape, so
+    its bytes do not depend on how many rows ``a`` has."""
+    n, k = a.shape
+    tiles = np.zeros((-(-n // _TILE), _TILE, k))
+    tiles.reshape(-1, k)[:n] = a
+    return (tiles @ w).reshape(-1, w.shape[1])[:n]
 
-    ``own`` holds the chunk's step-``p-1`` rows, ``neigh`` its sampled
-    neighbours as row ids of ``other_prev`` (-1 for none), ``params``
-    the step's weights.  ``rows`` (chunk-local indices) gathers and
-    aggregates only those rows and returns only their embeddings.  The
-    aggregated rows are scattered into a zero matrix of the full chunk
-    shape first, so both matmuls see the operand shapes and row
-    positions of the full-chunk call: the returned rows equal the same
-    rows of the full-chunk result bitwise, whatever the BLAS.  The
+
+def _draw(source, side: str, vertices: np.ndarray, fanout: int, seed: int, step: int):
+    """The engine's neighbour draw: slot ``s`` of vertex ``v`` reads the
+    counter-hash uniform at ``(v, s)`` of the stream keyed by
+    ``(seed, _STREAM_KEY, side, step)``."""
+    uniforms = counter_uniforms((seed, _STREAM_KEY, _SIDES.index(side), step), vertices, fanout)
+    return sample_neighbors(source, side, vertices, uniforms)
+
+
+def _chunk_kernel(
+    own: np.ndarray, other_prev: np.ndarray, neigh: np.ndarray, params: dict
+) -> np.ndarray:
+    """Eqs. 1–4 for a set of vertices, outside autograd.
+
+    ``own`` holds the vertices' step-``p-1`` rows, ``neigh`` their
+    sampled neighbours as row ids of ``other_prev`` (-1 for none),
+    ``params`` the step's weights.  Every operation is row-wise and both
+    matmuls run whole ``_TILE``-row tiles, so a row's bytes do not depend
+    on which other rows share the call, nor on their order.  The
     aggregate and the activation are the training path's Tensor
     functions, run under ``no_grad``; they evaluate plain numpy
     expressions, so the bytes match the autograd forward.
     """
-    if rows is not None:
-        neigh = neigh[rows]
     valid = neigh >= 0
     stacked = other_prev[np.where(valid, neigh, 0)]
     with no_grad():
         aggregated = _aggregate(Tensor(stacked), valid, params["aggregator"]).data
-    if rows is not None:
-        scattered = np.zeros((len(own), aggregated.shape[1]))
-        scattered[rows] = aggregated
-        aggregated = scattered
-    transformed = aggregated @ params["m_w"]  # Eq. 1 / Eq. 2 (M has no bias)
-    if params["m_b"] is not None:
-        transformed = transformed + params["m_b"]
+    transformed = _tiled_matmul(aggregated, params["m_w"])  # Eq. 1 / Eq. 2 (no bias)
     combined = np.concatenate([own, transformed], axis=-1)
-    z = combined @ params["w_w"]
-    if rows is not None:
-        z = z[rows]
-    if params["w_b"] is not None:
-        z = z + params["w_b"]
+    z = _tiled_matmul(combined, params["w_w"]) + params["w_b"]
     with no_grad():
         return _ACTIVATIONS[params["activation"]](Tensor(z)).data  # Eq. 3 / Eq. 4
 
 
-def _chunk_task(task: tuple, context: tuple) -> np.ndarray | None:
-    """Sample one chunk's neighbours and embed its rows at one step.
+def _chunk_task(rows: np.ndarray, context: tuple) -> np.ndarray | None:
+    """Draw the neighbours of ``rows`` (sorted vertex ids) and embed them
+    at one step.
 
-    ``task`` is ``(chunk, rows)``; ``rows`` picks chunk-local rows
-    (None: all).  The draw always covers the whole chunk, so a row's
-    neighbours do not depend on which rows are selected.  ``context`` is
-    ``(source, side, own, other, out, sample_seed, step, batch_size,
+    ``context`` is ``(source, side, own, other, out, sample_seed, step,
     fanout, params)``: the neighbour source (a store travels as its
     path), handles of both sides' step-``p-1`` matrices, a writable
     :class:`MappedMatrix` for the rows (None: return them), and the
     step's weights.
     """
-    chunk, rows = task
-    source, side, own, other, out, sample_seed, step, batch_size, fanout, params = context
+    source, side, own, other, out, sample_seed, step, fanout, params = context
     own_prev, other_prev = _matrix(own), _matrix(other)
-    start = chunk * batch_size
-    stop = min(start + batch_size, len(own_prev))
-    sampler = NeighborSampler(
-        source, rng=derive_rng(sample_seed, _STREAM_KEY, _SIDE_ID[side], step, chunk)
-    )
-    vertices = np.arange(start, stop)
-    if side == "user":
-        neigh = sampler.sample_items_for_users(vertices, fanout)
-    else:
-        neigh = sampler.sample_users_for_items(vertices, fanout)
-    z = _chunk_kernel(own_prev[start:stop], other_prev, neigh, params, rows)
+    neigh = _draw(source, side, rows, fanout, sample_seed, step)
+    z = _chunk_kernel(own_prev[rows], other_prev, neigh, params)
     if out is None:
         return z
     # MAP_SHARED writes are visible to every other mapping of the file
     # at once; these scratch matrices need no flush.
-    out.array[_chunk_rows(start, stop, rows)] = z
+    out.array[rows] = z
     return None
 
 
@@ -399,12 +377,12 @@ class BipartiteGraphSAGE(Module):
         ndarrays come back) or a ``ShardedCSR`` store (out of core: step
         matrices double-buffered in memmaps under ``<store>/embed``;
         read-only memmaps come back and stay valid across later calls).
-        Neighbours come from the content-addressed stream rooted at
+        Neighbours come from the per-vertex counter hash rooted at
         :attr:`sample_seed`, so a graph and its store give the same
-        bytes at any ``workers`` (default: the configured pool size) —
-        the bytes of ``StreamingEmbedder(self, sample_seed=
-        self.sample_seed, batch_size=batch_size).full_embed(graph)``.
-        ``mode`` only accepts ``"layerwise"``.
+        bytes at any ``workers`` (default: the configured pool size) and
+        any ``batch_size`` (rows per worker task) — the bytes of
+        ``StreamingEmbedder(self, sample_seed=self.sample_seed)
+        .full_embed(graph)``.  ``mode`` only accepts ``"layerwise"``.
         """
         if mode != "layerwise":
             raise ValueError(f"unknown embed_all mode {mode!r}; only 'layerwise' exists")
@@ -530,15 +508,16 @@ class BipartiteGraphSAGE(Module):
         matrices ``prev``: one :func:`_chunk_task` map over ``pool`` per
         side (a worker then maps one side's output at a time).
 
-        With ``rows`` (sorted global ids per side) only the chunks
-        holding those rows run, and only those rows are recomputed;
-        every other row is copied from ``cached`` (shorter when the
-        graph grew — new tail rows are always listed).  With ``out``
-        (per-side writable :class:`MappedMatrix`; ``prev`` then maps
-        files too) the tasks write their rows to disk and ``out`` comes
-        back.  Otherwise the matrices stay in RAM, shared with workers
-        for the map.
+        With ``rows`` (sorted ids per side) only those rows are
+        recomputed; every other row is copied from ``cached`` (shorter
+        when the graph grew — new tail rows are always listed).  With
+        ``out`` (per-side writable :class:`MappedMatrix`; ``prev`` then
+        maps files too) the tasks write their rows to disk and ``out``
+        comes back.  Otherwise the matrices stay in RAM, shared with
+        workers for the map.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         cfg = self.config
         fanout = cfg.neighbor_samples[cfg.num_steps - step]
         new = {}
@@ -560,7 +539,6 @@ class BipartiteGraphSAGE(Module):
                     None if out is None else out[side],
                     sample_seed,
                     step,
-                    batch_size,
                     fanout,
                     self._step_params(step, side),
                 )
@@ -573,9 +551,8 @@ class BipartiteGraphSAGE(Module):
                 new[side] = np.empty((n, cfg.embedding_dim), dtype=np.float64)
                 if cached is not None:
                     new[side][: len(cached[side])] = cached[side]
-                for (k, pick), block in zip(plan, blocks):
-                    start = k * batch_size
-                    new[side][_chunk_rows(start, start + len(block), pick)] = block
+                for pick, block in zip(plan, blocks):
+                    new[side][pick] = block
         heartbeat("sage.layerwise", step, cfg.num_steps)
         return new
 
@@ -583,10 +560,9 @@ class BipartiteGraphSAGE(Module):
         """The step's weights as plain arrays, for :func:`_chunk_kernel`."""
         transform, weight = self._step_modules(step, side)
         return {
-            "m_w": transform.weight.data,
-            "m_b": None if transform.bias is None else transform.bias.data,
+            "m_w": transform.weight.data,  # M has no bias, W always has one
             "w_w": weight.weight.data,
-            "w_b": None if weight.bias is None else weight.bias.data,
+            "w_b": weight.bias.data,
             "activation": self.config.activation,
             "aggregator": self.config.aggregator,
         }

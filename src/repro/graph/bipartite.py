@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BipartiteGraph", "check_edges", "slice_positions"]
+__all__ = ["BipartiteGraph", "check_edges", "check_features", "slice_positions"]
 
 
 def _edge_keys(edges: np.ndarray, num_users: int, num_items: int) -> np.ndarray:
@@ -49,6 +49,23 @@ def check_edges(
         if edges[:, 1].min() < 0 or edges[:, 1].max() >= num_items:
             raise ValueError("item index out of range")
     return edges, weights
+
+
+def check_features(features, rows: int, side: str, dim: int | None = None):
+    """``features`` as a finite float64 ``(rows, dim)`` matrix (any width
+    when ``dim`` is None); rows are taken as given, never repacked.
+    ``None`` (no features) passes through."""
+    if features is None:
+        return None
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] != rows or dim not in (None, features.shape[1]):
+        want = f"({rows}, {'d' if dim is None else dim})"
+        raise ValueError(
+            f"{side} features must have shape (rows, dim) = {want}, got {features.shape}"
+        )
+    if not np.isfinite(features).all():
+        raise ValueError(f"{side} features must be finite")
+    return features
 
 
 def slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -129,8 +146,8 @@ class BipartiteGraph:
         self._item_csr = self._build_csr(
             self._edges[:, 1], self._edges[:, 0], self._weights, self.num_items
         )
-        self.user_features = self._check_features(user_features, num_users, "user")
-        self.item_features = self._check_features(item_features, num_items, "item")
+        self.user_features = check_features(user_features, num_users, "user")
+        self.item_features = check_features(item_features, num_items, "item")
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -163,19 +180,6 @@ class BipartiteGraph:
         return _CSR(
             indptr=indptr, indices=cols[order], weights=weights[order], degrees=counts
         )
-
-    @staticmethod
-    def _check_features(
-        features: np.ndarray | None, n: int, side: str
-    ) -> np.ndarray | None:
-        if features is None:
-            return None
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] != n:
-            raise ValueError(
-                f"{side}_features must have shape ({n}, d), got {features.shape}"
-            )
-        return features
 
     # ------------------------------------------------------------------
     # Basic queries

@@ -2,11 +2,13 @@
 
 ``NeighborSampler`` implements the fixed-fan-out sampling GraphSAGE uses
 (K1, K2 in the paper's complexity analysis, Section III-D).  Its
-uniform draw reads a neighbour source through two array queries,
+uniform draw is :func:`sample_neighbors`, which turns uniforms into
+neighbour ids; the layer-wise engine calls it with counter-hash
+uniforms.  It reads a neighbour source through two array queries,
 ``degrees(side)`` and ``gather_neighbors(side, vertices, offsets)``,
 which both an in-memory :class:`BipartiteGraph` and an out-of-core
 :class:`~repro.shard.storage.ShardedCSR` answer; the store keeps global
-degrees and per-row neighbour order, so the same RNG gives the same
+degrees and per-row neighbour order, so the same uniforms give the same
 draws over a graph and its store.
 ``NegativeSampler`` draws the negatives of Eq. 5's ``P_n`` distribution
 — uniform, or proportional to degree^0.75 as in word2vec.
@@ -20,7 +22,18 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.obs.metrics import counter_add
 from repro.utils.rng import ensure_rng
 
-__all__ = ["NeighborSampler", "NegativeSampler", "sample_edge_batches"]
+__all__ = ["NeighborSampler", "NegativeSampler", "sample_edge_batches", "sample_neighbors"]
+
+
+def sample_neighbors(source, side: str, vertices: np.ndarray, uniforms: np.ndarray):
+    """``(len(vertices), fanout)`` neighbour ids: slot ``(r, s)`` takes
+    position ``floor(uniforms[r, s] * degree)`` of ``vertices[r]``'s
+    adjacency row, so a row reads only its own uniforms and row.
+    Vertices with no neighbours get -1."""
+    degrees = source.degrees(side)[vertices]
+    offsets = (uniforms * degrees[:, None]).astype(np.int64)
+    picked = source.gather_neighbors(side, vertices, offsets)
+    return np.where(degrees[:, None] > 0, picked, -1)
 
 
 class NeighborSampler:
@@ -79,12 +92,8 @@ class NeighborSampler:
             starts = csr.indptr[vertices]
             degrees = csr.indptr[vertices + 1] - starts
             return self._sample_weighted(csr, vertices, starts, degrees, fanout, side)
-        degrees = self.graph.degrees(side)[vertices]
-        offsets = (
-            self.rng.random((len(vertices), fanout)) * degrees[:, None]
-        ).astype(np.int64)
-        picked = self.graph.gather_neighbors(side, vertices, offsets)
-        return np.where(degrees[:, None] > 0, picked, -1)
+        uniforms = self.rng.random((len(vertices), fanout))
+        return sample_neighbors(self.graph, side, vertices, uniforms)
 
     def _sample_weighted(
         self,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.bipartite import BipartiteGraph, _edge_keys, check_edges
+from repro.graph.bipartite import BipartiteGraph, _edge_keys, check_edges, check_features
 from repro.obs.metrics import counter_add
 
 __all__ = ["IncrementalBipartiteGraph"]
@@ -142,15 +142,7 @@ class IncrementalBipartiteGraph:
                 raise ValueError(
                     f"base graph has {side} features; new {side}s need feature rows"
                 )
-            features = np.asarray(features, dtype=np.float64)
-            want = (count, base_feats.shape[1])
-            if features.shape != want:
-                raise ValueError(
-                    f"{side} features must have shape (count, dim) = {want}, "
-                    f"got {features.shape}"
-                )
-            if not np.isfinite(features).all():
-                raise ValueError(f"{side} features must be finite")
+            features = check_features(features, count, side, base_feats.shape[1])
             self._pending_features[side].append(features)
         elif features is not None:
             raise ValueError(f"base graph has no {side} features to extend")

@@ -12,27 +12,20 @@ Two properties of that engine make :meth:`StreamingEmbedder.refresh`
 **bitwise identical** to a full pass over the mutated graph (not merely
 close):
 
-1. **Content-addressed sampling.**  The RNG for every chunk's neighbour
-   draw is derived *purely from its coordinates* —
-   ``derive_rng(sample_seed, key, side, step, chunk_index)`` — so a full
-   pass and a delta pass draw identical neighbours for the same chunk.
-   A row's draw reads only its own slot of the chunk's uniform block
+1. **Per-vertex sampling.**  A vertex's neighbour draw reads counter-hash
+   uniforms addressed by ``(sample_seed, key, side, step, vertex, slot)``
    and its own adjacency row (whose order the incremental graph
-   preserves), so rows left untouched keep draws identical to what a
-   full pass would have drawn for them.
+   preserves), so a full pass and a delta pass draw identical neighbours
+   for every vertex whose adjacency is unchanged.
 
-2. **Row-selected recomputation at full-chunk shape.**  A refresh
-   recomputes only the affected rows, so its cost follows the delta,
-   not the graph.  BLAS matmuls are not guaranteed bitwise-stable
-   across operand shapes, so the affected rows are not pushed through a
-   smaller matmul.  Each chunk holding an affected row draws its whole
-   neighbour block (as the full pass does), and
-   :func:`repro.core.sage._chunk_kernel` gathers and aggregates only
-   the selected rows, then scatters them into a zero matrix of the
-   chunk's full shape.  Both matmuls therefore see the full pass's
-   operand shapes and row positions, and the kept rows are identical
-   bytes, at any worker count (results are reduced in fixed submission
-   order).
+2. **Fixed-tile recomputation.**  A refresh recomputes only the affected
+   rows, so its cost follows the delta, not the graph.  BLAS matmuls are
+   not bitwise-stable across row counts, so
+   :func:`repro.core.sage._chunk_kernel` runs every matmul over whole
+   zero-padded tiles of a fixed row count; at a fixed count a row's
+   bytes do not depend on the other rows of its call.  The recomputed
+   rows are therefore the bytes a full pass gives them, at any worker
+   count and any ``batch_size``.
 
 The affected set is propagated conservatively: a row is affected at step
 ``p`` if it is new, its adjacency changed (dirty), it was affected at
@@ -72,8 +65,6 @@ class RefreshStats:
     dirty_items: int
     rows_recomputed: int  # affected rows recomputed, summed over steps
     rows_total: int  # all rows across all steps and both sides
-    chunks_recomputed: int  # chunks whose neighbours were sampled
-    chunks_total: int
 
     @property
     def recompute_fraction(self) -> float:
@@ -95,9 +86,8 @@ class StreamingEmbedder:
         at ``model.sample_seed`` they are the bytes of
         ``model.embed_all``.
     batch_size:
-        Chunk size of the layer-wise passes.  A refresh samples every
-        chunk holding an affected row but recomputes only the affected
-        rows, so this does not set the refresh granularity.
+        Rows per worker task of the layer-wise passes; does not change
+        the output.
     degrade_threshold:
         Fall back to a full pass when the affected-row fraction exceeds
         this value.
@@ -110,8 +100,6 @@ class StreamingEmbedder:
         batch_size: int = 2048,
         degrade_threshold: float = 0.25,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not 0.0 < degrade_threshold <= 1.0:
             raise ValueError("degrade_threshold must be in (0, 1]")
         self.model = model
@@ -133,7 +121,7 @@ class StreamingEmbedder:
         """Embed every vertex, caching all per-step matrices.
 
         The computation of ``model.embed_all(graph)`` with this
-        embedder's ``sample_seed`` and ``batch_size``.
+        embedder's ``sample_seed``.
         """
         pool = get_pool(workers)
         model = self.model
@@ -198,13 +186,21 @@ class StreamingEmbedder:
             dirty_users=len(dirty_users),
             dirty_items=len(dirty_items),
         ):
-            out = self._refresh(graph, dirty_users, dirty_items, workers)
+            mode, degraded, rows = self._refresh(graph, dirty_users, dirty_items, workers)
+        self.last_stats = RefreshStats(
+            mode=mode,
+            degraded=degraded,
+            dirty_users=len(dirty_users),
+            dirty_items=len(dirty_items),
+            rows_recomputed=rows,
+            rows_total=(graph.num_users + graph.num_items) * self.model.config.num_steps,
+        )
         if inc is not None:
             inc.clear_dirty()
         counter_add("streaming.refreshes", 1)
         counter_add("streaming.rows_recomputed", self.last_stats.rows_recomputed)
         observe("streaming.recompute_fraction", self.last_stats.recompute_fraction)
-        return out
+        return self.embeddings
 
     def _refresh(
         self,
@@ -212,25 +208,15 @@ class StreamingEmbedder:
         dirty_users: np.ndarray,
         dirty_items: np.ndarray,
         workers: int | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.model.config
+    ) -> tuple[str, bool, int]:
+        """Update the cache; returns ``(mode, degraded, rows_recomputed)``."""
         nu, ni = graph.num_users, graph.num_items
-        steps = cfg.num_steps
+        steps = self.model.config.num_steps
         rows_total = (nu + ni) * steps
         if self._h is None:
             # Cold start: nothing cached, a full pass is the refresh.
-            out = self.full_embed(graph, workers)
-            self.last_stats = RefreshStats(
-                mode="full",
-                degraded=False,
-                dirty_users=len(dirty_users),
-                dirty_items=len(dirty_items),
-                rows_recomputed=rows_total,
-                rows_total=rows_total,
-                chunks_recomputed=self._num_chunks(nu, ni) * steps,
-                chunks_total=self._num_chunks(nu, ni) * steps,
-            )
-            return out
+            self.full_embed(graph, workers)
+            return "full", False, rows_total
         old_nu, old_ni = self._shape
         if nu < old_nu or ni < old_ni:
             raise ValueError(
@@ -243,21 +229,14 @@ class StreamingEmbedder:
             raise ValueError("dirty item id out of range")
 
         # Conservative affected-set propagation, one mask pair per step.
-        # base = adjacency-dirty ∪ grown chunks (affects every step >= 1);
+        # base = adjacency-dirty rows (affects every step >= 1);
         # aff_p = base ∪ aff_{p-1} ∪ neighbours(aff_{p-1} of other side).
-        # A grown side's old last chunk gains rows, so its matmuls change
-        # shape: its old rows are recomputed with the new ones.
-        bs = self.batch_size
         base_u = np.zeros(nu, dtype=bool)
         base_u[dirty_users] = True
-        base_u[old_nu - old_nu % bs if nu > old_nu else nu :] = True
         base_i = np.zeros(ni, dtype=bool)
         base_i[dirty_items] = True
-        base_i[old_ni - old_ni % bs if ni > old_ni else ni :] = True
-        aff_u = np.zeros(nu, dtype=bool)  # step 0: only new feature rows
-        aff_u[old_nu:] = True
-        aff_i = np.zeros(ni, dtype=bool)
-        aff_i[old_ni:] = True
+        aff_u = np.arange(nu) >= old_nu  # step 0: only new feature rows
+        aff_i = np.arange(ni) >= old_ni
         per_step: list[dict[str, np.ndarray]] = []
         for _p in range(1, steps + 1):
             next_u = base_u | aff_u
@@ -269,38 +248,25 @@ class StreamingEmbedder:
 
         # Decide delta vs full on the affected-row fraction.
         rows_recomputed = sum(int(m.sum()) for masks in per_step for m in masks.values())
-        chunks_total = self._num_chunks(nu, ni) * steps
         fraction = rows_recomputed / rows_total if rows_total else 0.0
         if fraction > self.degrade_threshold:
             counter_add("streaming.degradations", 1)
-            out = self.full_embed(graph, workers)
-            self.last_stats = RefreshStats(
-                mode="full",
-                degraded=True,
-                dirty_users=len(dirty_users),
-                dirty_items=len(dirty_items),
-                rows_recomputed=rows_total,
-                rows_total=rows_total,
-                chunks_recomputed=chunks_total,
-                chunks_total=chunks_total,
-            )
-            return out
+            self.full_embed(graph, workers)
+            return "full", True, rows_total
 
-        # Delta pass: copy cached rows, recompute only the affected rows
-        # of each chunk holding one.  New rows (>= old_n) are marked
-        # affected at every step, so they are always recomputed.
+        # Delta pass: copy cached rows, recompute only the affected ones.
+        # New rows (>= old_n) are marked affected at every step, so they
+        # are always recomputed.
         pool = get_pool(workers)
         h = [{side: self.model._features(graph, side) for side in _SIDES}]
-        chunks_recomputed = 0
         for step in range(1, steps + 1):
             rows = {side: np.flatnonzero(per_step[step - 1][side]) for side in _SIDES}
-            chunks_recomputed += sum(len(np.unique(r // bs)) for r in rows.values())
             h.append(
                 self.model._layerwise_pass(
                     graph,
                     h[-1],
                     step,
-                    bs,
+                    self.batch_size,
                     pool,
                     self.sample_seed,
                     rows=rows,
@@ -309,18 +275,4 @@ class StreamingEmbedder:
             )
         self._h = h
         self._shape = (nu, ni)
-        self.last_stats = RefreshStats(
-            mode="delta",
-            degraded=False,
-            dirty_users=len(dirty_users),
-            dirty_items=len(dirty_items),
-            rows_recomputed=rows_recomputed,
-            rows_total=rows_total,
-            chunks_recomputed=chunks_recomputed,
-            chunks_total=chunks_total,
-        )
-        return self.embeddings
-
-    def _num_chunks(self, nu: int, ni: int) -> int:
-        bs = self.batch_size
-        return (nu + bs - 1) // bs + (ni + bs - 1) // bs
+        return "delta", False, rows_recomputed

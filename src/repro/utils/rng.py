@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ensure_rng", "derive_rng", "clone_rng", "RngMixin"]
+__all__ = ["ensure_rng", "derive_rng", "clone_rng", "counter_uniforms", "RngMixin"]
 
 
 def ensure_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -54,6 +54,32 @@ def clone_rng(rng: np.random.Generator) -> np.random.Generator:
     clone = np.random.default_rng()
     clone.bit_generator.state = rng.bit_generator.state
     return clone
+
+
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment (2**64 / golden ratio)
+
+
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser: a bijective avalanche on uint64 arrays."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def counter_uniforms(keys: tuple[int, ...], rows: np.ndarray, width: int) -> np.ndarray:
+    """``(len(rows), width)`` uniforms in ``[0, 1)``: entry ``(r, c)`` is
+    splitmix64 at counter ``rows[r] * 2**32 + c`` of the stream seeded by
+    hashing ``keys``, so any subset of rows, in any order or grouping,
+    reads the same values.  Rows and ``width`` must be below ``2**32``.
+    """
+    seed = np.zeros(1, dtype=np.uint64)
+    for key in keys:
+        seed = _splitmix((seed ^ np.uint64(key)) + _GAMMA)
+    rows = np.asarray(rows, dtype=np.uint64)
+    counters = (rows[:, None] << 32) | np.arange(width, dtype=np.uint64)
+    bits = _splitmix(counters * _GAMMA + seed)
+    # The top 53 bits as a double, as numpy's Generator.random builds them.
+    return (bits >> 11) * (1.0 / (1 << 53))
 
 
 class RngMixin:

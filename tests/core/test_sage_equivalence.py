@@ -7,8 +7,9 @@ the vertex.  These tests install such a deterministic sampler (first
 neighbours, cycled to the fan-out) and assert the rewrites agree with
 the retained reference paths, values and parameter gradients alike.
 The block step and the recursion read the module's cached sampler;
-the layer-wise engine builds a ``NeighborSampler`` per chunk, which the
-``deterministic_engine`` fixture swaps out in ``repro.core.sage``.
+the layer-wise engine draws each vertex's neighbours with
+``repro.core.sage._draw``, which the ``deterministic_engine`` fixture
+swaps out.
 
 Under the real random sampler the training draws are distributional,
 not bitwise, relative to the earlier per-target recursion: a block
@@ -68,7 +69,14 @@ def graph():
 @pytest.fixture()
 def deterministic_engine(monkeypatch):
     """Route the layer-wise engine's draws through DeterministicSampler."""
-    monkeypatch.setattr(sage, "NeighborSampler", DeterministicSampler)
+
+    def draw(source, side, vertices, fanout, *_):
+        sampler = DeterministicSampler(source)
+        if side == "user":
+            return sampler.sample_items_for_users(vertices, fanout)
+        return sampler.sample_users_for_items(vertices, fanout)
+
+    monkeypatch.setattr(sage, "_draw", draw)
 
 
 def _module(graph, deterministic=True, **overrides):

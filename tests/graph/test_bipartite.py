@@ -59,6 +59,15 @@ class TestConstruction:
                 2, 2, np.array([[0, 0]]), user_features=np.zeros((3, 4))
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_features_raise(self, bad):
+        # A NaN feature used to flow through GraphSAGE into K-means.
+        features = np.ones((2, 3))
+        features[1, 2] = bad
+        for side in ("user_features", "item_features"):
+            with pytest.raises(ValueError, match="finite"):
+                BipartiteGraph(2, 2, np.array([[0, 0]]), **{side: features})
+
 
 class TestQueries:
     def test_neighbors_both_directions(self):

@@ -4,13 +4,13 @@ The contract: after any edge/vertex delta,
 ``StreamingEmbedder.refresh(mutated)`` produces exactly the floats of
 ``full_embed(mutated)`` on a fresh embedder — at any worker count, for
 any delta size, whether the delta path ran or degradation kicked in.
-The trick is content-addressed sampling (every chunk's neighbour draw is
-seeded by its coordinates, not by stream position) plus row-selected
-recomputation: each chunk holding an affected row draws its whole
-neighbour block, and the kernel computes only the affected rows at
-their full-chunk positions and operand shapes.  The contract itself is
+The trick is per-vertex sampling (a vertex's neighbour draw is addressed
+by ``(seed, side, step, vertex, slot)``, not by stream position or task)
+plus fixed-tile recomputation: the kernel computes only the affected
+rows, with every matmul over whole tiles of one row count.  The contract
+itself, including the fixed-seed edge and chained delta examples, is
 property-tested in ``tests/test_layerwise_contract.py``; the cases here
-are worked examples and the refresh's own bookkeeping.
+are worked examples, regressions and the refresh's own bookkeeping.
 """
 
 from __future__ import annotations
@@ -80,21 +80,6 @@ def _assert_bitwise_equal(got, want):
 
 
 class TestBitwiseEquivalence:
-    @pytest.mark.parametrize("delta_edges", [1, 5, 50])
-    def test_edge_delta_matches_full_embed(self, delta_edges):
-        graph, model = _world()
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
-        embedder.full_embed(graph)
-        inc = _mutate(graph, delta_edges)
-        embedder.refresh(inc)
-        reference = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
-        reference.full_embed(inc.graph)
-        _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
-
     def test_vertex_delta_matches_full_embed(self):
         graph, model = _world()
         embedder = StreamingEmbedder(
@@ -119,9 +104,9 @@ class TestBitwiseEquivalence:
         _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
 
     def test_new_vertex_in_partial_last_chunk(self):
-        # The old last user chunk holds one row; a new user joins it, so
-        # that chunk's matmuls change shape and its old row is recomputed
-        # too (a one-row matmul may round differently from a two-row one).
+        # The old last user chunk holds one row and a new user joins it.
+        # Rows do not depend on the rows that share their task, so only
+        # the new row is recomputed and the old one is kept as it was.
         graph = random_bipartite(1, 1, 1, feature_dim=5, rng=1)
         cfg = SageConfig(embedding_dim=1, num_steps=1, neighbor_samples=(2,))
         model = BipartiteGraphSAGE(5, 5, cfg, rng=1)
@@ -132,33 +117,9 @@ class TestBitwiseEquivalence:
         inc = IncrementalBipartiteGraph(graph)
         inc.add_users(1, features=np.ones((1, 5)))
         embedder.refresh(inc)
-        assert embedder.last_stats.rows_recomputed == 2  # both rows of the chunk
+        assert embedder.last_stats.rows_recomputed == 1  # only the new row
         reference = StreamingEmbedder(model, sample_seed=3, batch_size=2)
         _assert_bitwise_equal(embedder.embeddings, reference.full_embed(inc.graph))
-
-    def test_chained_refreshes_match_full_embed(self):
-        graph, model = _world()
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
-        embedder.full_embed(graph)
-        inc = IncrementalBipartiteGraph(graph)
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            edges = np.stack(
-                [
-                    rng.integers(0, inc.num_users, 2),
-                    rng.integers(0, inc.num_items, 2),
-                ],
-                axis=1,
-            )
-            inc.add_edges(edges)
-            embedder.refresh(inc)
-        reference = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
-        reference.full_embed(inc.graph)
-        _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
 
     def test_refresh_after_compaction_matches(self):
         graph, model = _world()
@@ -208,12 +169,11 @@ class TestRefreshStats:
         assert stats.mode == "delta"
         assert not stats.degraded
         assert 0.0 < stats.recompute_fraction < 1.0
-        assert stats.chunks_recomputed < stats.chunks_total
         assert stats.rows_recomputed < stats.rows_total
 
     def test_delta_spread_over_every_chunk_stays_row_granular(self):
-        # Two edges on a hub item reach a row in every user chunk at the
-        # last step; only those rows are recomputed, not their chunks.
+        # Two edges on a hub item reach a row in every 64-row user task
+        # at the last step; only those rows are recomputed.
         graph, model = _hub_world()
         embedder = StreamingEmbedder(model, sample_seed=0, batch_size=64)
         embedder.full_embed(graph)
@@ -223,7 +183,7 @@ class TestRefreshStats:
         stats = embedder.last_stats
         assert stats.mode == "delta"
         assert stats.recompute_fraction < 0.01
-        assert stats.chunks_recomputed >= graph.num_users // 64
+        assert stats.rows_recomputed >= graph.num_users // 60  # the hub's users
         reference = StreamingEmbedder(model, sample_seed=0, batch_size=64)
         reference.full_embed(inc.graph)
         _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
@@ -287,24 +247,24 @@ def _sha256(arrays) -> str:
 
 
 class TestPinnedBytes:
-    """``full_embed`` bytes recorded before the layer-wise engine was
-    unified: a given ``sample_seed`` must keep producing them, so the
-    serving path's embeddings are unchanged."""
+    """``full_embed`` bytes recorded when draws became per-vertex: a given
+    ``sample_seed`` must keep producing them, so the serving path's
+    embeddings are unchanged."""
 
     @pytest.mark.parametrize(
         "world, model_seed, sample_seed, batch_size, fanouts, aggregator, want",
         [
             (
                 (200, 150, 800, 0), 0, 0, 32, (4, 3), "mean",
-                "9a496129096b3fddd1aa1318af68ed25b1621d5ae5e3eb90d141bc09c651a55e",
+                "3481924527adb7c5868ff7c69b5852beda8668624d97814e4f5d8efeda24d1bf",
             ),
             (
                 (120, 90, 500, 3), 5, 7, 16, (5, 2), "max",
-                "85dda242656727d3ade6e73f0bc21f338be7c42505cceb14c82c3698a423324a",
+                "24330d636105663fc3bed2b9b70dc26c06a22b97f88719378b73a95be68e0c28",
             ),
             (
                 (64, 300, 700, 11), 2, 123, 2048, (3, 3), "sum",
-                "5b1a9f8f67c5067eafe7c1487f6d7ae24384c9516c0f40cd7dd50240a94ac8bc",
+                "323335f9a2c73f7a9ccdbe71d2983e03ebdac66b74a127ceac15452e70e138c3",
             ),
         ],
     )

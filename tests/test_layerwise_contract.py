@@ -1,17 +1,24 @@
 """The layer-wise equivalence contract, stated and property-tested once.
 
-One engine runs every full-graph embedding pass, and each chunk's
-neighbour draw is addressed by ``(sample_seed, side, step, chunk)``
-rather than by its position in a stream.  Two promises follow, at any
-worker count:
+One engine runs every full-graph embedding pass, and each output row is
+a pure function of its vertex: the vertex's neighbour draw is addressed
+by ``(sample_seed, side, step, vertex, slot)``, and every matmul runs
+whole tiles of one row count.  Tasks of ``batch_size`` rows are only
+scheduling.  Two promises follow, at any worker count:
 
-1. ``embed_all(graph)``, ``embed_all(store)`` over any shard count and
-   ``StreamingEmbedder(model, sample_seed=model.sample_seed)
-   .full_embed(graph)`` give the same bytes.
-2. After an edge delta, a vertex delta (new vertices with edges) or a
-   vertex-only delta (new isolated vertices), a delta
-   ``StreamingEmbedder.refresh`` gives the bytes of a full pass over the
-   mutated graph.
+1. ``embed_all(graph)`` at any ``batch_size``, ``embed_all(store)`` over
+   any shard count and ``StreamingEmbedder(model,
+   sample_seed=model.sample_seed).full_embed(graph)`` give the same
+   bytes.
+2. After an edge delta, a re-added-edge delta (edges the graph already
+   has), a vertex delta (new vertices with edges) or a vertex-only delta
+   (new isolated vertices), a delta ``StreamingEmbedder.refresh`` gives
+   the bytes of a full pass over the mutated graph.
+
+The examples pin output widths whose BLAS kernels round a row
+differently with the number of rows in its call (``d % 8`` in 1..4 with
+16 or more inputs), so a kernel that lets a row's bytes depend on its
+call's shape fails every run.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sage import BipartiteGraphSAGE
@@ -32,7 +39,7 @@ from repro.streaming import IncrementalBipartiteGraph, StreamingEmbedder
 from repro.utils.config import SageConfig
 
 WORKERS = [1, pytest.param(2, marks=pytest.mark.parallel)]
-FEATURE_DIM = 5
+FEATURE_DIM = 16
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -41,25 +48,47 @@ def _shutdown_cached_pools():
     shutdown_pools()
 
 
+def _world(num_users, num_items, num_edges, dim, fanouts, aggregator, seed, batch_size):
+    """``(graph, model, batch_size)`` for one random graph."""
+    cfg = SageConfig(
+        embedding_dim=dim,
+        num_steps=len(fanouts),
+        neighbor_samples=fanouts,
+        aggregator=aggregator,
+    )
+    graph = random_bipartite(
+        num_users, num_items, num_edges, feature_dim=FEATURE_DIM, rng=seed
+    )
+    return graph, BipartiteGraphSAGE(FEATURE_DIM, FEATURE_DIM, cfg, rng=seed), batch_size
+
+
 @st.composite
 def worlds(draw):
-    """A small random graph plus a model and a chunk size for it."""
+    """A small random graph plus a model and a task size for it."""
     num_users = draw(st.integers(1, 40))
     num_items = draw(st.integers(1, 30))
     num_edges = draw(st.integers(0, min(150, num_users * num_items)))
     steps = draw(st.integers(1, 3))
-    cfg = SageConfig(
-        embedding_dim=draw(st.integers(1, 6)),
-        num_steps=steps,
-        neighbor_samples=tuple(draw(st.integers(1, 5)) for _ in range(steps)),
-        aggregator=draw(st.sampled_from(["mean", "sum", "max", "weighted_mean"])),
+    return _world(
+        num_users,
+        num_items,
+        num_edges,
+        draw(st.integers(1, 20)),
+        tuple(draw(st.integers(1, 5)) for _ in range(steps)),
+        draw(st.sampled_from(["mean", "sum", "max", "weighted_mean"])),
+        draw(st.integers(0, 2**16)),
+        draw(st.integers(1, 24)),
     )
-    seed = draw(st.integers(0, 2**16))
-    graph = random_bipartite(
-        num_users, num_items, num_edges, feature_dim=FEATURE_DIM, rng=seed
-    )
-    model = BipartiteGraphSAGE(FEATURE_DIM, FEATURE_DIM, cfg, rng=seed)
-    return graph, model, draw(st.integers(1, 24))
+
+
+# BLAS tail widths d = 3, 9 and 12, with 16 + d inputs to W at step 1.
+TAIL_WORLDS = [
+    _world(40, 30, 150, 3, (4, 3), "mean", 0, 7),
+    _world(37, 29, 120, 9, (5, 2, 3), "max", 1, 16),
+    _world(25, 40, 100, 12, (3,), "sum", 2, 5),
+]
+# The fixed-seed refresh examples: a 200 x 150 world in 32-row tasks.
+REFRESH_WORLD = _world(200, 150, 800, 8, (4, 3), "mean", 0, 32)
 
 
 def _assert_same_bytes(got, want):
@@ -71,12 +100,22 @@ def _assert_same_bytes(got, want):
 
 @pytest.mark.parametrize("workers", WORKERS)
 @settings(max_examples=25, deadline=None)
-@given(world=worlds(), num_shards=st.sampled_from([1, 4, 17]))
+@given(
+    world=worlds(),
+    num_shards=st.sampled_from([1, 4, 17]),
+    other_batch_size=st.integers(1, 64),
+)
+@example(world=TAIL_WORLDS[0], num_shards=4, other_batch_size=64)
+@example(world=TAIL_WORLDS[1], num_shards=17, other_batch_size=3)
+@example(world=TAIL_WORLDS[2], num_shards=1, other_batch_size=40)
 def test_dense_sharded_and_streaming_passes_give_the_same_bytes(
-    workers, world, num_shards
+    workers, world, num_shards, other_batch_size
 ):
     graph, model, batch_size = world
     dense = model.embed_all(graph, batch_size=batch_size, workers=workers)
+    _assert_same_bytes(
+        model.embed_all(graph, batch_size=other_batch_size, workers=workers), dense
+    )
     streamed = StreamingEmbedder(
         model, sample_seed=model.sample_seed, batch_size=batch_size
     ).full_embed(graph, workers=workers)
@@ -91,7 +130,12 @@ def test_dense_sharded_and_streaming_passes_give_the_same_bytes(
 
 
 def _apply_delta(inc, kind, rng):
-    """Grow ``inc`` by one edge, vertex or vertex-only delta."""
+    """Grow ``inc`` by one edge, re-added-edge, vertex or vertex-only delta."""
+    if kind == "re_added":
+        edges = inc.graph.edges
+        if len(edges):
+            inc.add_edges(edges[rng.integers(0, len(edges), int(rng.integers(1, 4)))])
+        return
     if kind in ("vertices", "vertices_only"):
         n_users, n_items = int(rng.integers(1, 4)), int(rng.integers(1, 3))
         users = inc.add_users(n_users, features=rng.normal(size=(n_users, FEATURE_DIM)))
@@ -115,10 +159,18 @@ def _apply_delta(inc, kind, rng):
 @given(
     world=worlds(),
     kinds=st.lists(
-        st.sampled_from(["edges", "vertices", "vertices_only"]), min_size=1, max_size=3
+        st.sampled_from(["edges", "re_added", "vertices", "vertices_only"]),
+        min_size=1,
+        max_size=3,
     ),
     delta_seed=st.integers(0, 2**16),
 )
+@example(world=TAIL_WORLDS[0], kinds=["edges", "vertices"], delta_seed=0)
+@example(world=TAIL_WORLDS[1], kinds=["re_added", "vertices_only"], delta_seed=1)
+@example(world=TAIL_WORLDS[2], kinds=["vertices", "edges"], delta_seed=2)
+@example(world=REFRESH_WORLD, kinds=["edges"], delta_seed=1)
+@example(world=REFRESH_WORLD, kinds=["vertices"], delta_seed=2)
+@example(world=REFRESH_WORLD, kinds=["edges", "edges", "edges"], delta_seed=3)
 def test_delta_refresh_equals_a_full_pass(workers, world, kinds, delta_seed):
     graph, model, batch_size = world
     rng = np.random.default_rng(delta_seed)
