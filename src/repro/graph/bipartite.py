@@ -28,11 +28,20 @@ def check_edges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(edges, weights)`` as ``(n, 2)`` int64 pairs and float64 weights.
 
-    Rejects ids outside ``[0, num_users) x [0, num_items)``, weights that
-    do not align one-to-one with the edges, and weights that are not
-    finite and positive.  ``weights=None`` means every weight is 1.
+    Rejects edges that are not an ``(n, 2)`` array of integer ids (an
+    empty array means no edges), ids outside ``[0, num_users) x
+    [0, num_items)``, weights that do not align one-to-one with the
+    edges, and weights that are not finite and positive.
+    ``weights=None`` means every weight is 1.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges)
+    if edges.size == 0:
+        edges = np.empty((0, 2), dtype=np.int64)
+    elif edges.ndim != 2 or edges.shape[1] != 2 or not np.issubdtype(edges.dtype, np.integer):
+        raise ValueError(
+            f"edges must be an (n, 2) array of integer ids, got {edges.dtype} {edges.shape}"
+        )
+    edges = edges.astype(np.int64, copy=False)
     if weights is None:
         weights = np.ones(len(edges), dtype=np.float64)
     else:
@@ -103,6 +112,53 @@ class _CSR:
     def degree(self, row: int) -> int:
         return int(self.indptr[row + 1] - self.indptr[row])
 
+    def grown(
+        self, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_rows: int
+    ) -> "_CSR":
+        """This CSR over ``n_rows`` rows with the ``(rows, cols, weights)``
+        edges appended to the ends of their rows, in the given order.
+
+        The new edges are sorted stably by row first: rows with only empty
+        rows between them share one insert position, where ``np.insert``
+        keeps the order it is given.
+        """
+        order = np.argsort(rows, kind="stable")
+        ends = self.indptr[np.minimum(rows[order] + 1, len(self.degrees))]
+        counts = np.bincount(rows, minlength=n_rows)
+        counts[: len(self.degrees)] += self.degrees
+        return _CSR.assemble(
+            counts,
+            np.insert(self.indices, ends, cols[order]),
+            np.insert(self.weights, ends, weights[order]),
+        )
+
+    @staticmethod
+    def assemble(counts: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> "_CSR":
+        """The CSR of row-sorted ``indices`` and ``weights`` with ``counts``
+        edges per row; ``counts`` becomes the read-only degrees."""
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(counts)
+        counts.flags.writeable = False
+        return _CSR(indptr, indices, weights, counts)
+
+    def slots(self, rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
+        """Position of each ``(rows[k], cols[k])`` edge, -1 where there is
+        none; reads only those rows (ids past the last row have none)."""
+        touched = np.unique(rows[rows < len(self.degrees)])
+        positions = slice_positions(self.indptr[touched], self.degrees[touched])
+        have = np.repeat(touched, self.degrees[touched]) * n_cols + self.indices[positions]
+        return _locate(have, positions, rows * n_cols + cols)
+
+
+def _locate(have: np.ndarray, where: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """``where[j]`` for each ``want`` key equal to ``have[j]``, else -1
+    (the keys of each array are unique)."""
+    _, hi, wi = np.intersect1d(have, want, assume_unique=True, return_indices=True)
+    found = np.full(len(want), -1, dtype=np.int64)
+    found[wi] = where[hi]
+    return found
+
+
 
 class BipartiteGraph:
     """A weighted bipartite graph over ``num_users`` x ``num_items``.
@@ -172,14 +228,62 @@ class BipartiteGraph:
         rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_rows: int
     ) -> _CSR:
         order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        counts = np.bincount(sorted_rows, minlength=n_rows)
-        indptr[1:] = np.cumsum(counts)
-        counts.flags.writeable = False
-        return _CSR(
-            indptr=indptr, indices=cols[order], weights=weights[order], degrees=counts
+        counts = np.bincount(rows, minlength=n_rows)
+        return _CSR.assemble(counts, cols[order], weights[order])
+
+    def _fold(
+        self,
+        num_users: int,
+        num_items: int,
+        edges: np.ndarray,
+        weights: np.ndarray,
+        user_features: np.ndarray | None,
+        item_features: np.ndarray | None,
+    ) -> "BipartiteGraph":
+        """This graph grown to ``num_users x num_items`` plus ``edges``.
+
+        The bytes the constructor gives for this graph's edge list followed
+        by ``edges`` in arrival order with every re-added pair summed into
+        its first slot, ``(w + a) + b``: new pairs go to the ends of the
+        edge list and of their CSR rows, and only the rows the delta
+        touches are read.  Finding a re-added pair's edge-list slot takes
+        one linear pass, and only when there is one.  Old rows keep their
+        order, so a row the delta did not touch keeps its neighbour draws.
+        The feature matrices are the grown ones, their new rows already
+        checked.
+        """
+        edges, weights = check_edges(edges, weights, num_users, num_items)
+        keys = _edge_keys(edges, num_users, num_items)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        arrival = np.argsort(first)  # the unique pairs in order of first arrival
+        pairs, keys = edges[first[arrival]], keys[first[arrival]]
+        slots = self._user_csr.slots(pairs[:, 0], pairs[:, 1], num_items)
+        again, new = np.flatnonzero(slots >= 0), slots < 0
+        # An old weight first, then the arrivals in order, as the constructor sums.
+        summed = np.bincount(
+            np.concatenate([again, np.argsort(arrival)[inverse]]),
+            weights=np.concatenate([self._user_csr.weights[slots[again]], weights]),
+            minlength=len(pairs),
         )
+        graph = object.__new__(BipartiteGraph)
+        graph.num_users, graph.num_items = int(num_users), int(num_items)
+        graph.user_features, graph.item_features = user_features, item_features
+        graph._edges = np.concatenate([self._edges, pairs[new]])
+        graph._weights = np.concatenate([self._weights, summed[new]])
+        graph._user_csr = self._user_csr.grown(pairs[new, 0], pairs[new, 1], summed[new], num_users)
+        graph._item_csr = self._item_csr.grown(pairs[new, 1], pairs[new, 0], summed[new], num_items)
+        if len(again):  # re-added pairs: their sums go into their old slots
+            near = np.zeros(self.num_users, dtype=bool)
+            near[pairs[again, 0]] = True
+            near = np.flatnonzero(near[self._edges[:, 0]])  # the one linear pass
+            have = _edge_keys(self._edges[near], num_users, num_items)
+            graph._weights[_locate(have, near, keys[again])] = summed[again]
+            for csr, rows, cols, n_cols in (
+                (graph._user_csr, pairs[again, 0], pairs[again, 1], num_items),
+                (graph._item_csr, pairs[again, 1], pairs[again, 0], num_users),
+            ):
+                csr.weights[csr.slots(rows, cols, n_cols)] = summed[again]
+        return graph
 
     # ------------------------------------------------------------------
     # Basic queries

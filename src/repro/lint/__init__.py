@@ -5,7 +5,8 @@ families, each policing an invariant the test suite can only spot-check:
 
 * **determinism** (RPR1xx) — all randomness flows through
   :mod:`repro.utils.rng`; no wall-clock reads or hash-order iteration in
-  numeric paths (the ``workers=1`` vs ``workers=N`` bitwise guarantee).
+  numeric paths (the ``workers=1`` vs ``workers=N`` bitwise guarantee);
+  no test asserts on a ratio of two timings.
 * **fork-safety** (RPR2xx) — pool tasks are module-level and side-effect
   free; shared-memory segments have owned cleanup paths.
 * **obs hygiene** (RPR3xx) — spans are ``with``-scoped, logging is

@@ -2,8 +2,9 @@
 
 The repo's reproducibility contract: every stochastic call threads an
 explicit ``numpy.random.Generator`` created by :mod:`repro.utils.rng`,
-no code reads wall-clock time inside numeric paths, and nothing
-materialises a ``set`` into an ordered sequence without ``sorted()``.
+no code reads wall-clock time inside numeric paths, nothing
+materialises a ``set`` into an ordered sequence without ``sorted()``,
+and no test asserts on the ratio of two timings.
 One unseeded draw or hash-order iteration silently breaks the
 ``workers=1`` vs ``workers=4`` bitwise-equivalence guarantee.
 """
@@ -47,6 +48,12 @@ _WALL_CLOCK_CALLS = {
     "datetime.datetime.now",
     "datetime.datetime.utcnow",
     "datetime.date.today",
+}
+_TIMER_CALLS = {
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
 }
 
 
@@ -177,3 +184,85 @@ def check_set_order(
             f"{target}() over a set materialises hash order; use sorted(...) "
             "to fix a canonical order"
         )
+
+
+def _target_names(target: ast.AST) -> list[str]:
+    """Names an assignment target writes (``t[k] = ...`` writes ``t``)."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _target_names(elt)]
+    while isinstance(target, (ast.Subscript, ast.Attribute, ast.Starred)):
+        target = target.value
+    return [target.id] if isinstance(target, ast.Name) else []
+
+
+def _is_timed(expr: ast.AST, timed: set[str], ctx: ModuleContext) -> bool:
+    """``expr`` reads a monotonic timer or a name derived from one."""
+    return any(
+        (isinstance(sub, ast.Call) and ctx.qualname(sub.func) in _TIMER_CALLS)
+        or (isinstance(sub, ast.Name) and sub.id in timed)
+        for sub in ast.walk(expr)
+    )
+
+
+def _has_ratio(expr: ast.AST, timed: set[str], ratios: set[str], ctx: ModuleContext) -> bool:
+    """``expr`` divides one timing by another, or reads such a quotient."""
+    return any(
+        (
+            isinstance(sub, ast.BinOp)
+            and isinstance(sub.op, (ast.Div, ast.FloorDiv))
+            and _is_timed(sub.left, timed, ctx)
+            and _is_timed(sub.right, timed, ctx)
+        )
+        or (isinstance(sub, ast.Name) and sub.id in ratios)
+        for sub in ast.walk(expr)
+    )
+
+
+@rule(
+    code="RPR105",
+    name="wall-clock-ratio-assert",
+    severity=Severity.ERROR,
+    family="determinism",
+    description=(
+        "A test that asserts on the ratio of two timings passes or fails "
+        "with the host's load; assert on counts or bytes, and leave speed "
+        "to the benchmarks"
+    ),
+    nodes=(ast.Assert,),
+)
+def check_timing_ratio_assert(
+    node: ast.Assert, ctx: ModuleContext
+) -> Iterator[tuple[ast.AST, str]]:
+    if "tests" not in ctx.path.split("/"):
+        return
+    # Names in the assert's function derived from a timer (``timed``) and
+    # holding a quotient of two timings (``ratios``), to a fixed point.
+    assigns = [
+        sub
+        for sub in ast.walk(ctx.enclosing_scope(node))
+        if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and sub.value
+    ]
+    timed: set[str] = set()
+    ratios: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for sub in assigns:
+            targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+            names = {name for target in targets for name in _target_names(target)}
+            if _is_timed(sub.value, timed, ctx) and not names <= timed:
+                timed |= names
+                grew = True
+            if _has_ratio(sub.value, timed, ratios, ctx) and not names <= ratios:
+                ratios |= names
+                grew = True
+    for cmp in ast.walk(node.test):
+        if isinstance(cmp, ast.Compare) and any(
+            _has_ratio(side, timed, ratios, ctx) for side in [cmp.left, *cmp.comparators]
+        ):
+            yield node, (
+                "assert on a ratio of wall-clock timings depends on the "
+                "host's load; assert on counts or bytes, or move the "
+                "speed check to a benchmark"
+            )
+            return

@@ -6,8 +6,11 @@ updates are staged *next to* it: appended edges, vertices and feature
 rows wait in a pending delta (O(delta) per append, no CSR rebuild).
 Reading :attr:`IncrementalBipartiteGraph.graph` folds the pending delta
 into a new graph, which replaces the old one; that fold is the only
-compaction.  Every sampler and embedder reads the folded graph, so the
-graph's CSR is the one adjacency.
+compaction.  The fold merges the delta into the current CSR rows
+(:meth:`BipartiteGraph._fold`): it costs a copy of the edge arrays plus
+work on the delta and the rows it touches, never a sort of every edge.
+Every sampler and embedder reads the folded graph, so the graph's CSR is
+the one adjacency.
 
 Every mutation records its endpoints in a **dirty-vertex frontier**
 (:attr:`dirty_users` / :attr:`dirty_items`), which is exactly the seed
@@ -21,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.bipartite import BipartiteGraph, _edge_keys, check_edges, check_features
+from repro.graph.bipartite import BipartiteGraph, check_edges, check_features
+from repro.obs import span
 from repro.obs.metrics import counter_add
 
 __all__ = ["IncrementalBipartiteGraph"]
@@ -160,12 +164,26 @@ class IncrementalBipartiteGraph:
     def graph(self) -> BipartiteGraph:
         """The current graph as an immutable :class:`BipartiteGraph`.
 
-        Folds a pending delta into a new graph first (counted as
-        ``streaming.compactions``); with nothing pending this is the
-        graph the last fold (or the constructor) produced, not a copy.
+        Folds a pending delta into a new graph first (a
+        ``streaming.fold`` span, counted as ``streaming.compactions``);
+        with nothing pending this is the graph the last fold (or the
+        constructor) produced, not a copy.
         """
         if self._pending_edges or any(self._extra.values()):
-            self._graph = self._materialise()
+            with span(
+                "streaming.fold",
+                pending_edges=self.pending_edges,
+                new_users=self._extra["user"],
+                new_items=self._extra["item"],
+            ):
+                self._graph = self._graph._fold(
+                    self.num_users,
+                    self.num_items,
+                    np.concatenate([np.empty((0, 2), dtype=np.int64), *self._pending_edges]),
+                    np.concatenate([np.empty(0), *self._pending_weights]),
+                    self._extended_features("user"),
+                    self._extended_features("item"),
+                )
             self._pending_edges.clear()
             self._pending_weights.clear()
             for pending in self._pending_features.values():
@@ -173,40 +191,6 @@ class IncrementalBipartiteGraph:
             self._extra = dict.fromkeys(_SIDES, 0)
             counter_add("streaming.compactions", 1)
         return self._graph
-
-    def _materialise(self) -> BipartiteGraph:
-        graph = self._graph
-        edges, weights = graph.edges, graph.edge_weights
-        if self._pending_edges:
-            edges, weights = self._merge_in_arrival_order(
-                np.concatenate([edges] + self._pending_edges),
-                np.concatenate([weights] + self._pending_weights),
-            )
-        return BipartiteGraph(
-            self.num_users,
-            self.num_items,
-            edges,
-            weights,
-            self._extended_features("user"),
-            self._extended_features("item"),
-        )
-
-    def _merge_in_arrival_order(
-        self, edges: np.ndarray, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sum re-added edges into their first slot, keeping arrival order.
-
-        Handing duplicates to the constructor would re-sort every edge,
-        reordering CSR rows the delta never touched (and with them the
-        neighbour draws of rows a refresh treats as unchanged).
-        """
-        keys = _edge_keys(edges, self.num_users, self.num_items)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        if len(first) == len(edges):
-            return edges, weights
-        summed = np.bincount(inverse, weights=weights, minlength=len(first))
-        order = np.argsort(first)
-        return edges[first[order]], summed[order]
 
     def _extended_features(self, side: str) -> np.ndarray | None:
         base = self._graph.user_features if side == "user" else self._graph.item_features

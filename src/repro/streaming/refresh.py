@@ -174,7 +174,6 @@ class StreamingEmbedder:
                 dirty_users = inc.dirty_users
             if dirty_items is None:
                 dirty_items = inc.dirty_items
-            graph = inc.graph
         dirty_users = np.unique(
             np.asarray([] if dirty_users is None else dirty_users, dtype=np.int64)
         )
@@ -186,6 +185,8 @@ class StreamingEmbedder:
             dirty_users=len(dirty_users),
             dirty_items=len(dirty_items),
         ):
+            if inc is not None:
+                graph = inc.graph  # the fold: a streaming.fold span
             mode, degraded, rows = self._refresh(graph, dirty_users, dirty_items, workers)
         self.last_stats = RefreshStats(
             mode=mode,

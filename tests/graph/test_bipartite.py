@@ -59,6 +59,33 @@ class TestConstruction:
                 2, 2, np.array([[0, 0]]), user_features=np.zeros((3, 4))
             )
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0, 1, 2], [1, 0, 1]],  # (2, 3): was read as the pairs (0, 1), (2, 1), (0, 1)
+            [[0.6, 1.9]],  # was truncated to the edge (0, 1)
+            [1, 2, 3, 4],  # flat: was read as two pairs
+            np.array([[0, 1]], dtype=bool),
+        ],
+    )
+    def test_malformed_edges_raise(self, bad):
+        with pytest.raises(ValueError, match=r"\(n, 2\) array of integer ids"):
+            BipartiteGraph(5, 5, bad)
+
+    @pytest.mark.parametrize(
+        "empty", [[], np.zeros(0), np.zeros((0, 2)), np.empty((0, 2), dtype=np.int32)]
+    )
+    def test_empty_edges_mean_no_edges(self, empty):
+        g = BipartiteGraph(2, 3, empty)
+        assert g.num_edges == 0
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+        assert g.user_degrees().tolist() == [0, 0]
+
+    def test_other_integer_dtypes_are_taken_as_int64(self):
+        g = BipartiteGraph(3, 2, np.array([[2, 1], [0, 0]], dtype=np.uint8))
+        assert g.edges.dtype == np.int64
+        assert g.edges.tolist() == [[2, 1], [0, 0]]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_features_raise(self, bad):
         # A NaN feature used to flow through GraphSAGE into K-means.

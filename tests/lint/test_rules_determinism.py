@@ -220,3 +220,115 @@ class TestSetOrder:
 
     def test_membership_on_plain_list_not_flagged(self, lint_codes):
         assert lint_codes("ids = list([3, 1, 2])\n") == []
+
+
+class TestTimingRatioAssert:
+    TEST_PATH = "tests/pkg/test_speed.py"
+
+    INLINE = """
+        import time
+
+        def test_fast():
+            t0 = time.perf_counter()
+            slow()
+            slow_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            fast()
+            fast_s = time.perf_counter() - t0
+            assert slow_s / fast_s > 2.0
+        """
+
+    def test_flags_inline_quotient(self, lint_codes):
+        assert lint_codes(self.INLINE, path=self.TEST_PATH) == ["RPR105"]
+
+    def test_only_under_tests(self, lint_codes):
+        assert lint_codes(self.INLINE, path="benchmarks/test_speed.py") == []
+
+    def test_flags_named_ratio_and_imported_timer(self, lint_codes):
+        codes = lint_codes(
+            """
+            from time import monotonic
+
+            def test_overhead():
+                timings = {}
+                for name in ("plain", "traced"):
+                    start = monotonic()
+                    run(name)
+                    timings[name] = monotonic() - start
+                overhead = round((timings["traced"] - timings["plain"]) / timings["plain"], 3)
+                assert 0 <= overhead < 0.05
+            """,
+            path=self.TEST_PATH,
+        )
+        assert codes == ["RPR105"]
+
+    def test_flags_accumulated_timings(self, lint_codes):
+        codes = lint_codes(
+            """
+            import time
+
+            def test_speedup():
+                before = after = 0.0
+                for _ in range(3):
+                    t = time.perf_counter_ns()
+                    old()
+                    before += time.perf_counter_ns() - t
+                    t = time.perf_counter_ns()
+                    new()
+                    after += time.perf_counter_ns() - t
+                speedup = before // after
+                assert speedup >= 2, speedup
+            """,
+            path=self.TEST_PATH,
+        )
+        assert codes == ["RPR105"]
+
+    def test_timing_over_a_count_not_flagged(self, lint_codes):
+        # A per-call budget divides a timing by a count, not by a timing.
+        codes = lint_codes(
+            """
+            import time
+
+            def test_cheap(calls=1000):
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    op()
+                per_call = (time.perf_counter() - t0) / calls
+                assert per_call < 5e-6
+            """,
+            path=self.TEST_PATH,
+        )
+        assert codes == []
+
+    def test_non_timing_ratio_not_flagged(self, lint_codes):
+        codes = lint_codes(
+            """
+            import time
+
+            def test_hits():
+                t0 = time.perf_counter()
+                hits, total = serve()
+                elapsed = time.perf_counter() - t0
+                assert hits / total > 0.5
+                report(elapsed)
+            """,
+            path=self.TEST_PATH,
+        )
+        assert codes == []
+
+    def test_timings_from_another_function_not_flagged(self, lint_codes):
+        codes = lint_codes(
+            """
+            import time
+
+            def _time(fn):
+                t0 = time.perf_counter()
+                fn()
+                return time.perf_counter() - t0
+
+            def test_fast():
+                assert _time(slow) / _time(fast) > 2.0
+            """,
+            path=self.TEST_PATH,
+        )
+        assert codes == []

@@ -54,3 +54,10 @@ def test_baseline_has_no_stale_entries(self_lint_result):
 def test_gate_actually_walked_the_tree(self_lint_result):
     # Guard against a silently-empty walk making the gate vacuous.
     assert self_lint_result.files_checked > 50
+
+
+def test_tests_assert_on_no_timing_ratio():
+    # RPR105 polices tests/, which the src/ gate above does not walk.
+    result = run_lint([str(REPO_ROOT / "tests")], config=load_config(REPO_ROOT), enabled={"RPR105"})
+    assert [f.render() for f in result.fresh] == []
+    assert result.files_checked > 50

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
 from repro.streaming import IncrementalBipartiteGraph
+from tests.oracles import assert_same_graph, reference_fold
 
 
 def _base(num_users=30, num_items=20, num_edges=90, feature_dim=4, rng=0):
@@ -90,6 +91,10 @@ class TestAppendSemantics:
         for bad in (np.nan, np.inf):  # NaN slipped past ``min() <= 0``
             with pytest.raises(ValueError, match="finite"):
                 inc.add_edges(np.array([[0, 1], [1, 1]]), np.array([bad, 1.0]))
+        # Flat ids used to be read as pairs, and float ids truncated.
+        for malformed in ([1, 2, 3, 4], [[0.6, 1.9]]):
+            with pytest.raises(ValueError, match="integer ids"):
+                inc.add_edges(malformed)
         assert inc.pending_edges == 0
 
 
@@ -213,43 +218,96 @@ class TestCompaction:
             assert graph.user_neighbors(item).tolist() == base.user_neighbors(item).tolist() + appended
 
 
-def _apply(inc: IncrementalBipartiteGraph, delta: tuple, rng: np.random.Generator) -> None:
-    """One delta: new users/items (with feature rows) then weighted edges,
-    some of them re-adds of existing edges."""
-    new_users, new_items, n_edges = delta
+_WEIGHTS = st.floats(min_value=1e-3, max_value=10.0)
+# (user, item, weight) triples; ids are taken modulo the sides' sizes.
+_TRIPLES = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _WEIGHTS), max_size=12)
+
+
+def _edges(triples, num_users, num_items):
+    pairs = np.array([t[:2] for t in triples], dtype=np.int64).reshape(-1, 2)
+    weights = np.array([t[2] for t in triples], dtype=np.float64)
+    return pairs % [num_users, num_items], weights
+
+
+def _grow(inc: IncrementalBipartiteGraph, delta: tuple, dim: int, rng) -> None:
+    """One delta: new users and items (with feature rows when ``dim``),
+    then weighted edges, which may land on the new vertices or re-add
+    existing pairs."""
+    new_users, new_items, triples = delta
     if new_users:
-        inc.add_users(new_users, features=rng.normal(size=(new_users, 3)))
+        inc.add_users(new_users, features=rng.normal(size=(new_users, dim)) if dim else None)
     if new_items:
-        inc.add_items(new_items, features=rng.normal(size=(new_items, 3)))
-    edges = np.column_stack(
-        [rng.integers(0, inc.num_users, n_edges), rng.integers(0, inc.num_items, n_edges)]
-    )
-    inc.add_edges(edges, rng.uniform(0.1, 3.0, n_edges))
+        inc.add_items(new_items, features=rng.normal(size=(new_items, dim)) if dim else None)
+    inc.add_edges(*_edges(triples, inc.num_users, inc.num_items))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 2**16),
+    base=st.tuples(st.integers(1, 8), st.integers(1, 8), _TRIPLES, st.sampled_from([0, 2])),
     deltas=st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 12)),
-        min_size=1,
-        max_size=6,
+        st.tuples(st.integers(0, 2), st.integers(0, 2), _TRIPLES), min_size=1, max_size=4
     ),
+    seed=st.integers(0, 2**16),
 )
-def test_property_fold_per_delta_equals_one_fold(seed, deltas):
-    # Folding after every delta of a chain gives the bytes of one fold
-    # after the whole chain: edges, weights, features and dirty frontier.
-    base = random_bipartite(12, 9, 30, feature_dim=3, rng=seed)
-    each, once = IncrementalBipartiteGraph(base), IncrementalBipartiteGraph(base)
+# Delta rows with only empty rows between them share one insert position
+# (users 2-4 and items 2-3), arriving out of row order.
+@example(
+    base=(6, 4, [(0, 0, 1.0), (5, 1, 1.0)], 0),
+    deltas=[(0, 0, [(4, 3, 1.0), (2, 2, 0.5), (3, 0, 2.0)])],
+    seed=0,
+)
+# One pair re-added twice in one delta, then again: (0.1 + 0.7) + 0.3
+# and 0.1 + (0.7 + 0.3) differ in the last bit.
+@example(
+    base=(3, 3, [(1, 1, 0.1), (0, 0, 1.0)], 0),
+    deltas=[(0, 0, [(1, 1, 0.7), (0, 2, 0.2), (1, 1, 0.3)]), (0, 0, [(1, 1, 0.6), (0, 2, 0.9)])],
+    seed=0,
+)
+# New vertices with and without features, with edges on them, then a
+# vertex-only delta.
+@example(
+    base=(4, 3, [(0, 0, 1.0), (3, 2, 1.0)], 2),
+    deltas=[(2, 1, [(4, 3, 1.0), (5, 0, 1.0), (1, 3, 2.0)]), (1, 1, [])],
+    seed=1,
+)
+@example(
+    base=(4, 3, [(0, 0, 1.0), (3, 2, 1.0)], 0),
+    deltas=[(2, 1, [(4, 3, 1.0), (5, 0, 1.0), (1, 3, 2.0)]), (1, 1, [])],
+    seed=1,
+)
+# An edgeless base graph.
+@example(base=(3, 2, [], 0), deltas=[(0, 0, [(2, 1, 1.0), (0, 1, 0.5), (2, 1, 0.25)])], seed=0)
+# A chain of k = 4 deltas mixing all of the above.
+@example(
+    base=(5, 4, [(0, 0, 1.0), (4, 3, 2.0), (2, 1, 0.5)], 2),
+    deltas=[
+        (0, 0, [(4, 3, 0.1), (1, 2, 0.7)]),
+        (1, 0, [(5, 0, 1.0), (1, 2, 0.3), (4, 3, 0.2)]),
+        (0, 2, []),
+        (0, 0, [(5, 5, 1.5), (3, 4, 0.5), (1, 2, 0.1)]),
+    ],
+    seed=2,
+)
+def test_property_fold_equals_the_constructor_oracle(base, deltas, seed):
+    # The merge fold gives the constructor's bytes (tests.oracles), every
+    # array and flag of the graph, whether it folds after every delta of a
+    # chain or once after the whole chain.
+    num_users, num_items, triples, dim = base
+    rng = np.random.default_rng(seed)
+    graph = BipartiteGraph(
+        num_users,
+        num_items,
+        *_edges(triples, num_users, num_items),
+        rng.normal(size=(num_users, dim)) if dim else None,
+        rng.normal(size=(num_items, dim)) if dim else None,
+    )
+    each, once = IncrementalBipartiteGraph(graph), IncrementalBipartiteGraph(graph)
+    reference = graph
     for k, delta in enumerate(deltas):
-        _apply(each, delta, np.random.default_rng([seed, k]))
-        each.graph
-        _apply(once, delta, np.random.default_rng([seed, k]))
-    a, b = each.graph, once.graph
-    assert (a.num_users, a.num_items) == (b.num_users, b.num_items)
-    assert a.edges.tobytes() == b.edges.tobytes()
-    assert a.edge_weights.tobytes() == b.edge_weights.tobytes()
-    assert a.user_features.tobytes() == b.user_features.tobytes()
-    assert a.item_features.tobytes() == b.item_features.tobytes()
+        _grow(each, delta, dim, np.random.default_rng([seed, k]))
+        _grow(once, delta, dim, np.random.default_rng([seed, k]))
+        reference = reference_fold(reference, each)
+        assert_same_graph(each.graph, reference)
+    assert_same_graph(once.graph, reference)
     assert np.array_equal(each.dirty_users, once.dirty_users)
     assert np.array_equal(each.dirty_items, once.dirty_items)

@@ -8,9 +8,10 @@ The trick is per-vertex sampling (a vertex's neighbour draw is addressed
 by ``(seed, side, step, vertex, slot)``, not by stream position or task)
 plus fixed-tile recomputation: the kernel computes only the affected
 rows, with every matmul over whole tiles of one row count.  The contract
-itself, including the fixed-seed edge and chained delta examples, is
-property-tested in ``tests/test_layerwise_contract.py``; the cases here
-are worked examples, regressions and the refresh's own bookkeeping.
+itself, including the fixed-seed edge, vertex and chained delta
+examples, is property-tested in ``tests/test_layerwise_contract.py``;
+the cases here are worked examples, regressions and the refresh's own
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -80,29 +81,6 @@ def _assert_bitwise_equal(got, want):
 
 
 class TestBitwiseEquivalence:
-    def test_vertex_delta_matches_full_embed(self):
-        graph, model = _world()
-        embedder = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
-        embedder.full_embed(graph)
-        rng = np.random.default_rng(2)
-        inc = IncrementalBipartiteGraph(graph)
-        users = inc.add_users(3, features=rng.normal(size=(3, 6)))
-        items = inc.add_items(2, features=rng.normal(size=(2, 6)))
-        inc.add_edges(
-            np.array([[users[0], items[0]], [users[1], items[1]], [users[2], 0]])
-        )
-        embedder.refresh(inc)
-        z_user, z_item = embedder.embeddings
-        assert len(z_user) == graph.num_users + 3
-        assert len(z_item) == graph.num_items + 2
-        reference = StreamingEmbedder(
-            model, sample_seed=0, batch_size=32, degrade_threshold=1.0
-        )
-        reference.full_embed(inc.graph)
-        _assert_bitwise_equal(embedder.embeddings, reference.embeddings)
-
     def test_new_vertex_in_partial_last_chunk(self):
         # The old last user chunk holds one row and a new user joins it.
         # Rows do not depend on the rows that share their task, so only

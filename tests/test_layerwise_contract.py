@@ -13,7 +13,10 @@ scheduling.  Two promises follow, at any worker count:
 2. After an edge delta, a re-added-edge delta (edges the graph already
    has), a vertex delta (new vertices with edges) or a vertex-only delta
    (new isolated vertices), a delta ``StreamingEmbedder.refresh`` gives
-   the bytes of a full pass over the mutated graph.
+   the bytes of a full pass over the mutated graph.  That graph is built
+   by the constructor (``tests.oracles.reference_fold``), not by the
+   incremental fold the refresh reads, so a fold bug cannot pass on both
+   sides.
 
 The examples pin output widths whose BLAS kernels round a row
 differently with the number of rows in its call (``d % 8`` in 1..4 with
@@ -37,6 +40,7 @@ from repro.parallel import active_segment_names, shutdown_pools
 from repro.shard import active_shard_dirs
 from repro.streaming import IncrementalBipartiteGraph, StreamingEmbedder
 from repro.utils.config import SageConfig
+from tests.oracles import reference_fold
 
 WORKERS = [1, pytest.param(2, marks=pytest.mark.parallel)]
 FEATURE_DIM = 16
@@ -169,7 +173,8 @@ def _apply_delta(inc, kind, rng):
 @example(world=TAIL_WORLDS[1], kinds=["re_added", "vertices_only"], delta_seed=1)
 @example(world=TAIL_WORLDS[2], kinds=["vertices", "edges"], delta_seed=2)
 @example(world=REFRESH_WORLD, kinds=["edges"], delta_seed=1)
-@example(world=REFRESH_WORLD, kinds=["vertices"], delta_seed=2)
+# Three new users linked to both new items and to old item 33.
+@example(world=REFRESH_WORLD, kinds=["vertices"], delta_seed=124)
 @example(world=REFRESH_WORLD, kinds=["edges", "edges", "edges"], delta_seed=3)
 def test_delta_refresh_equals_a_full_pass(workers, world, kinds, delta_seed):
     graph, model, batch_size = world
@@ -179,11 +184,14 @@ def test_delta_refresh_equals_a_full_pass(workers, world, kinds, delta_seed):
     )
     embedder.full_embed(graph, workers=workers)
     inc = IncrementalBipartiteGraph(graph)
+    # The full pass reads the constructor-built graph, not the fold under test.
+    reference = graph
     for kind in kinds:
         _apply_delta(inc, kind, rng)
+        reference = reference_fold(reference, inc)
         embedder.refresh(inc, workers=workers)
         assert embedder.last_stats.mode == "delta"
     _assert_same_bytes(
-        embedder.embeddings, model.embed_all(inc.graph, batch_size=batch_size)
+        embedder.embeddings, model.embed_all(reference, batch_size=batch_size)
     )
     assert active_segment_names() == set()
