@@ -7,8 +7,14 @@ Each side owns its aggregators, per-step weight matrices ``W_u^p`` /
 matrices across both sides (Eqs. 8–11); enable it with
 ``SageConfig.shared_space=True`` (requires equal feature dimensions).
 
-Two hot-path layouts keep this tractable at scale (Section III-D;
-cf. Cascade-BGNN's redundancy elimination):
+Training and serving run one forward: Eqs. 1–4 are :func:`_sage_step`,
+and neighbours come from the counter-hash draw :func:`_draw`, keyed by
+``(sample_seed, side, step, *key)`` at counter ``(vertex, slot)``.
+``key`` is ``()`` for serving and ``(epoch, batch)`` for training.
+Both matmuls run whole ``_TILE``-row tiles (a BLAS may round a row
+differently with the number of rows in its call, but not with which
+rows they are), so a row's bytes depend only on its vertex, its
+neighbours' rows and the weights.
 
 * **Block mini-batch step** — :meth:`embed_block` is handed every id a
   training batch needs on each side (positives and negatives together)
@@ -17,31 +23,25 @@ cf. Cascade-BGNN's redundancy elimination):
   at step 0, with one neighbour draw per (side, step) at fan-outs
   ``K_1, ..., K_P`` (the K's of the paper's complexity analysis) — so
   ``2·P`` draws per batch.  It then computes each step's user and item
-  matrices once, bottom-up, and gathers the requested rows.  Popular
-  vertices appear many times across a batch's receptive fields; each is
-  embedded once per step, which cuts forward *and* backward FLOPs
-  superlinearly with graph skew.  The per-occurrence recursion
-  :meth:`_embed_naive` is retained as the reference for equivalence
-  tests and the hot-path benchmark.
+  matrices once, bottom-up, with autograd, and gathers the requested
+  rows, so each vertex is embedded once per step (Section III-D; cf.
+  Cascade-BGNN's redundancy elimination).  Under the serving key its
+  rows are :meth:`embed_all`'s, bitwise.  The per-occurrence recursion
+  :meth:`_embed_naive` is the reference for equivalence tests and the
+  hot-path benchmark.
 * **Layer-wise full-graph inference** — :meth:`embed_all` computes the
   step-``p`` matrices for *all* vertices from the cached step-``p-1``
   matrices, one pass per step, instead of re-expanding the whole
-  receptive field per batch.  The block step remains the training path
-  (it builds the autograd graph).
+  receptive field per batch.
 
 One engine runs every layer-wise pass — dense and sharded
 :meth:`embed_all`, and :class:`~repro.streaming.StreamingEmbedder`'s
 full and delta passes — over a neighbour source: a ``BipartiteGraph``
-or a ``ShardedCSR`` store.  Each output row is a pure function of its
-vertex, its neighbours' step-``p-1`` rows and the weights: a vertex
-draws its neighbours from the counter hash ``(sample_seed, _STREAM_KEY,
-side, step)`` at counter ``(vertex, slot)``, and :func:`_chunk_kernel`
-runs both matmuls over whole ``_TILE``-row tiles (a BLAS may round a
-row differently with the number of rows in its call, but not with which
-rows they are).  Tasks of ``batch_size`` rows are only scheduling, so a
-graph and its shard store, any worker count, any ``batch_size`` and a
-delta refresh of a subset of rows all give the same bytes.  Step
-matrices live in RAM for graphs and in memory-mapped files for stores.
+or a ``ShardedCSR`` store, with :func:`_sage_step` outside autograd.
+Tasks of ``batch_size`` rows are only scheduling, so a graph and its
+shard store, any worker count, any ``batch_size`` and a delta refresh
+of a subset of rows all give the same bytes.  Step matrices live in RAM
+for graphs and in memory-mapped files for stores.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.sampling import NeighborSampler, sample_neighbors
-from repro.nn.layers import _ACTIVATIONS, Activation, Linear, Module
+from repro.graph.sampling import sample_neighbors
+from repro.nn.layers import _ACTIVATIONS, Linear, Module
 from repro.obs import span
 from repro.obs.metrics import counter_add, observe
 from repro.obs.monitor import heartbeat
@@ -60,7 +60,7 @@ from repro.nn.tensor import Tensor, concat, no_grad, where
 from repro.parallel import as_ndarray, get_pool, shared_arrays
 from repro.shard.storage import MappedMatrix, allocate_block, open_block
 from repro.utils.config import SageConfig
-from repro.utils.rng import counter_uniforms, derive_rng, ensure_rng
+from repro.utils.rng import counter_uniforms, ensure_rng
 
 __all__ = ["BipartiteGraphSAGE"]
 
@@ -69,8 +69,7 @@ def _aggregate(stacked: Tensor, valid: np.ndarray, agg: str) -> Tensor:
     """AGGREGATE over the fan-out axis with a validity mask.
 
     ``stacked`` is (n, K, d); ``valid`` marks real neighbours (False
-    entries are padding for isolated vertices).  The training step and
-    the layer-wise kernel both run this one function.
+    entries are padding for isolated vertices).
     """
     # Masking with all-ones is exact, so it is skipped when every slot
     # is valid (the common case: isolated vertices are rare).
@@ -81,14 +80,12 @@ def _aggregate(stacked: Tensor, valid: np.ndarray, agg: str) -> Tensor:
         neg_inf = Tensor(np.full(stacked.shape, -1e30))
         out = where(valid[:, :, None], stacked, neg_inf).max(axis=1)
         return out * valid.any(axis=1)[:, None].astype(float)
-    if agg not in ("mean", "weighted_mean", "sum"):
+    if agg not in ("mean", "sum"):
         raise ValueError(f"unknown aggregator {agg!r}")
     masked = stacked if all_valid else stacked * valid.astype(float)[:, :, None]
     summed = masked.sum(axis=1)
     if agg == "sum":
         return summed
-    # weighted_mean differs only in how neighbours are *sampled*
-    # (importance sampling by edge weight happens upstream).
     counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
     return summed * (1.0 / counts)
 
@@ -133,10 +130,11 @@ def _chunk_plan(n: int, batch_size: int, rows: np.ndarray | None) -> list[np.nda
     return plan
 
 
-# Key separating the layer-wise sampling stream from every other seed
-# consumer (the trainer derives its RNGs with small integer keys).
+# Key separating the neighbour-draw streams of training and serving from
+# every other seed consumer (the trainer derives its RNGs with small
+# integer keys).
 _STREAM_KEY = 0x51BE
-# Rows per matmul tile in the layer-wise kernel.
+# Rows per matmul tile of _tiled_matmul.
 _TILE = 128
 _OTHER = {"user": "item", "item": "user"}
 
@@ -149,47 +147,62 @@ def _matrix(handle) -> np.ndarray:
     return as_ndarray(handle)
 
 
-def _tiled_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _tiled_matmul(a: Tensor, w: Tensor | np.ndarray) -> Tensor:
     """``a @ w`` as one stacked matmul over ``_TILE``-row tiles, the last
     zero-padded: every row is multiplied in a call of the same shape, so
-    its bytes do not depend on how many rows ``a`` has."""
+    its bytes do not depend on how many rows ``a`` has.  The backward is
+    the plain 2-D matmul VJP; tiling only fixes the forward's rounding."""
+    w = w if isinstance(w, Tensor) else Tensor(w)
     n, k = a.shape
     tiles = np.zeros((-(-n // _TILE), _TILE, k))
-    tiles.reshape(-1, k)[:n] = a
-    return (tiles @ w).reshape(-1, w.shape[1])[:n]
+    tiles.reshape(-1, k)[:n] = a.data
+    out = (tiles @ w.data).reshape(-1, w.shape[1])[:n]
+
+    def backward(grad: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate(grad @ w.data.T, owned=True)
+        if w.requires_grad:
+            w._accumulate(a.data.T @ grad, owned=True)
+
+    return Tensor._make(out, (a, w), backward)
 
 
-def _draw(source, side: str, vertices: np.ndarray, fanout: int, seed: int, step: int):
-    """The engine's neighbour draw: slot ``s`` of vertex ``v`` reads the
+def _draw(source, side: str, vertices: np.ndarray, fanout: int, seed: int, step: int, key=()):
+    """The one neighbour draw: slot ``s`` of vertex ``v`` reads the
     counter-hash uniform at ``(v, s)`` of the stream keyed by
-    ``(seed, _STREAM_KEY, side, step)``."""
-    uniforms = counter_uniforms((seed, _STREAM_KEY, _SIDES.index(side), step), vertices, fanout)
-    return sample_neighbors(source, side, vertices, uniforms)
+    ``(seed, _STREAM_KEY, side, step, *key)``; ``key`` is ``()`` for
+    serving and ``(epoch, batch)`` for training."""
+    keys = (seed, _STREAM_KEY, _SIDES.index(side), step, *key)
+    return sample_neighbors(source, side, vertices, counter_uniforms(keys, vertices, fanout))
+
+
+def _sage_step(own: Tensor, stacked: Tensor, valid: np.ndarray, params: dict) -> Tensor:
+    """One step of Eqs. 1–4, for training and serving alike: ``own``
+    holds the vertices' step-``p-1`` rows, ``stacked`` their sampled
+    neighbours' rows as (n, K, d) with ``valid`` marking real ones, and
+    ``params`` the step's weights (Tensors or arrays), aggregator and
+    activation.  Every operation is row-wise and both matmuls tiled, so
+    a row's bytes do not depend on which other rows share the call."""
+    aggregated = _aggregate(stacked, valid, params["aggregator"])
+    transformed = _tiled_matmul(aggregated, params["m_w"])  # Eq. 1 / Eq. 2 (no bias)
+    combined = concat([own, transformed], axis=-1)
+    z = _tiled_matmul(combined, params["w_w"]) + params["w_b"]
+    return _ACTIVATIONS[params["activation"]](z)  # Eq. 3 / Eq. 4
 
 
 def _chunk_kernel(
     own: np.ndarray, other_prev: np.ndarray, neigh: np.ndarray, params: dict
 ) -> np.ndarray:
-    """Eqs. 1–4 for a set of vertices, outside autograd.
+    """:func:`_sage_step` for a set of vertices, outside autograd.
 
     ``own`` holds the vertices' step-``p-1`` rows, ``neigh`` their
     sampled neighbours as row ids of ``other_prev`` (-1 for none),
-    ``params`` the step's weights.  Every operation is row-wise and both
-    matmuls run whole ``_TILE``-row tiles, so a row's bytes do not depend
-    on which other rows share the call, nor on their order.  The
-    aggregate and the activation are the training path's Tensor
-    functions, run under ``no_grad``; they evaluate plain numpy
-    expressions, so the bytes match the autograd forward.
+    ``params`` the step's weights as arrays.
     """
     valid = neigh >= 0
-    stacked = other_prev[np.where(valid, neigh, 0)]
     with no_grad():
-        aggregated = _aggregate(Tensor(stacked), valid, params["aggregator"]).data
-    transformed = _tiled_matmul(aggregated, params["m_w"])  # Eq. 1 / Eq. 2 (no bias)
-    combined = np.concatenate([own, transformed], axis=-1)
-    z = _tiled_matmul(combined, params["w_w"]) + params["w_b"]
-    with no_grad():
-        return _ACTIVATIONS[params["activation"]](Tensor(z)).data  # Eq. 3 / Eq. 4
+        stacked = Tensor(other_prev[np.where(valid, neigh, 0)])
+        return _sage_step(Tensor(own), stacked, valid, params).data
 
 
 def _chunk_task(rows: np.ndarray, context: tuple) -> np.ndarray | None:
@@ -229,7 +242,8 @@ class BipartiteGraphSAGE(Module):
     Attributes
     ----------
     sample_seed:
-        Root of :meth:`embed_all`'s content-addressed neighbour draws.
+        Root of the content-addressed neighbour draws of training and
+        serving.
     """
 
     def __init__(
@@ -247,11 +261,12 @@ class BipartiteGraphSAGE(Module):
                 "shared_space requires equal user/item feature dimensions "
                 f"(got {user_dim} and {item_dim})"
             )
+        if cfg.activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {cfg.activation!r}")
         rng = ensure_rng(rng)
         self.user_dim = user_dim
         self.item_dim = item_dim
         d = cfg.embedding_dim
-        self.activation = Activation(cfg.activation)
 
         # Per-step dimensions: step 1 consumes raw features, later steps
         # consume d-dimensional embeddings from the previous step.
@@ -274,23 +289,22 @@ class BipartiteGraphSAGE(Module):
             self.item_transform.append(m_ui)
             self.user_weight.append(w_u)
             self.item_weight.append(w_i)
-        self._sample_rng = derive_rng(rng, 7)
-        # Root of the layer-wise (inference) sampling stream; drawn after
-        # ``_sample_rng`` so the training draws do not move.
+        # The draw of a retired Generator-fed training sampler, still
+        # consumed so that ``sample_seed`` (and every served byte) stays put.
+        rng.integers(0, 2**63 - 1, size=2)
         self.sample_seed = int(rng.integers(0, 2**63 - 1))
-        # One NeighborSampler per graph, built lazily on first use —
-        # the recursion previously rebuilt a sampler at every step.
-        self._sampler_cache: tuple[BipartiteGraph, NeighborSampler] | None = None
 
     # ------------------------------------------------------------------
     # Embedding computation
     # ------------------------------------------------------------------
     def embed_users(self, graph: BipartiteGraph, user_ids: np.ndarray) -> Tensor:
-        """Final user embeddings z_u for ``user_ids`` (builds autograd graph)."""
+        """Final user embeddings z_u for ``user_ids`` (builds autograd
+        graph); under the serving key, :meth:`embed_all`'s rows."""
         return self.embed_block(graph, users=[user_ids])[0][0]
 
     def embed_items(self, graph: BipartiteGraph, item_ids: np.ndarray) -> Tensor:
-        """Final item embeddings z_i for ``item_ids`` (builds autograd graph)."""
+        """Final item embeddings z_i for ``item_ids`` (builds autograd
+        graph); under the serving key, :meth:`embed_all`'s rows."""
         return self.embed_block(graph, items=[item_ids])[1][0]
 
     def embed_block(
@@ -298,6 +312,7 @@ class BipartiteGraphSAGE(Module):
         graph: BipartiteGraph,
         users: Sequence[np.ndarray] = (),
         items: Sequence[np.ndarray] = (),
+        key: tuple[int, ...] = (),
     ) -> tuple[list[Tensor], list[Tensor]]:
         """Final embeddings for several id requests per side, as one block.
 
@@ -307,7 +322,9 @@ class BipartiteGraphSAGE(Module):
         give zero rows.  The requests share one deduplicated frontier per
         (side, step), one neighbour draw per (side, step) and one
         step-``p`` matrix per side, so each vertex is embedded once per
-        step however many requests reach it.
+        step however many requests reach it.  ``key`` extends the draw
+        stream (see :func:`_draw`): the default ``()`` is the serving
+        stream, under which the rows are :meth:`embed_all`'s, bitwise.
         """
         cfg = self.config
         steps = cfg.num_steps
@@ -319,7 +336,6 @@ class BipartiteGraphSAGE(Module):
         # side; draws[p] the neighbours sampled for them (step p >= 1).
         frontiers = {steps: {side: _frontier(reqs) for side, reqs in requests.items()}}
         draws = {}
-        sampler = self._sampler(graph)
         for step in range(steps, 0, -1):
             fanout = cfg.neighbor_samples[steps - step]
             top = frontiers[step]
@@ -328,8 +344,8 @@ class BipartiteGraphSAGE(Module):
                 if len(top[side]):
                     observe("sage.frontier_size", len(top[side]))
             draws[step] = {
-                "user": sampler.sample_items_for_users(top["user"], fanout),
-                "item": sampler.sample_users_for_items(top["item"], fanout),
+                side: _draw(graph, side, top[side], fanout, self.sample_seed, step, key)
+                for side in _SIDES
             }
             frontiers[step - 1] = {
                 "user": _frontier([top["user"], draws[step]["item"]]),
@@ -425,22 +441,6 @@ class BipartiteGraphSAGE(Module):
             return feats
         return MappedMatrix(source.feature_path(side), (source.num(side), dim))
 
-    def _sampler(self, graph: BipartiteGraph) -> NeighborSampler:
-        """The cached per-graph sampler (built once, reused everywhere)."""
-        cached = self._sampler_cache
-        if cached is None or cached[0] is not graph or cached[1].rng is not self._sample_rng:
-            # Rebuilt when the graph changes *or* ``_sample_rng`` is
-            # reassigned (tests freeze sampling by swapping the rng).
-            self._sampler_cache = (graph, NeighborSampler(graph, rng=self._sample_rng))
-            cached = self._sampler_cache
-        return cached[1]
-
-    def _step_modules(self, step: int, side: str) -> tuple[Linear, Linear]:
-        """The (M, W) pair for ``step`` on ``side`` (Eqs. 1–4)."""
-        if side == "user":
-            return self.user_transform[step - 1], self.user_weight[step - 1]
-        return self.item_transform[step - 1], self.item_weight[step - 1]
-
     def _layer(
         self,
         step: int,
@@ -449,23 +449,18 @@ class BipartiteGraphSAGE(Module):
         neigh_prev: Tensor,
         valid: np.ndarray,
     ) -> Tensor:
-        """One step of Eqs. 1–4 from gathered step-``step - 1`` rows.
-
-        ``own_prev`` holds the vertices' own rows (the CONCAT left
-        operand); ``neigh_prev`` their sampled neighbours' rows, flat in
-        ``valid``'s (n, K) order.
+        """:func:`_sage_step` with autograd, from gathered step-``step - 1``
+        rows: ``own_prev`` holds the vertices' own rows, ``neigh_prev``
+        their sampled neighbours' rows, flat in ``valid``'s (n, K) order.
         """
         stacked = neigh_prev.reshape(valid.shape[0], valid.shape[1], neigh_prev.shape[1])
-        aggregated = _aggregate(stacked, valid, self.config.aggregator)
-        transform, weight = self._step_modules(step, side)
-        transformed = transform(aggregated)  # Eq. 1 / Eq. 2
-        combined = concat([own_prev, transformed], axis=-1)
-        return self.activation(weight(combined))  # Eq. 3 / Eq. 4
+        return _sage_step(own_prev, stacked, valid, self._step_params(step, side))
 
     def _embed_naive(
-        self, graph: BipartiteGraph, ids: np.ndarray, step: int, side: str
+        self, graph: BipartiteGraph, ids: np.ndarray, step: int, side: str, key=()
     ) -> Tensor:
-        """Reference recursion: every frontier occurrence embedded anew."""
+        """Reference recursion: every frontier occurrence embedded anew,
+        with :meth:`embed_block`'s draws for ``key``."""
         cfg = self.config
         ids = np.asarray(ids)
         mask = ids >= 0
@@ -476,17 +471,12 @@ class BipartiteGraphSAGE(Module):
             base[~mask] = 0.0
             return Tensor(base)
 
-        own_prev = self._embed_naive(graph, ids, step - 1, side)
+        own_prev = self._embed_naive(graph, ids, step - 1, side, key)
 
         fanout = cfg.neighbor_samples[cfg.num_steps - step]
-        sampler = self._sampler(graph)
-        if side == "user":
-            neigh = sampler.sample_items_for_users(safe, fanout)
-        else:
-            neigh = sampler.sample_users_for_items(safe, fanout)
+        neigh = _draw(graph, side, safe, fanout, self.sample_seed, step, key)
         neigh[~mask] = -1
-        other = "item" if side == "user" else "user"
-        flat = self._embed_naive(graph, neigh.reshape(-1), step - 1, other)
+        flat = self._embed_naive(graph, neigh.reshape(-1), step - 1, _OTHER[side], key)
         return _zero_padding(self._layer(step, side, own_prev, flat, neigh >= 0), ids)
 
     # ------------------------------------------------------------------
@@ -531,6 +521,7 @@ class BipartiteGraphSAGE(Module):
                 if cached is not None and not plan:
                     new[side] = cached[side]  # nothing affected: shape unchanged
                     continue
+                params = self._step_params(step, side)  # arrays travel, not Parameters
                 context = (
                     source,
                     side,
@@ -540,7 +531,7 @@ class BipartiteGraphSAGE(Module):
                     sample_seed,
                     step,
                     fanout,
-                    self._step_params(step, side),
+                    {k: getattr(v, "data", v) for k, v in params.items()},
                 )
                 blocks = pool.map(
                     _chunk_task, plan, context=context, label="sage.layerwise_chunk"
@@ -557,12 +548,16 @@ class BipartiteGraphSAGE(Module):
         return new
 
     def _step_params(self, step: int, side: str) -> dict:
-        """The step's weights as plain arrays, for :func:`_chunk_kernel`."""
-        transform, weight = self._step_modules(step, side)
+        """The ``params`` of :func:`_sage_step` for ``step`` on ``side``:
+        the (M, W) parameters of Eqs. 1–4, aggregator and activation."""
+        if side == "user":
+            transform, weight = self.user_transform[step - 1], self.user_weight[step - 1]
+        else:
+            transform, weight = self.item_transform[step - 1], self.item_weight[step - 1]
         return {
-            "m_w": transform.weight.data,  # M has no bias, W always has one
-            "w_w": weight.weight.data,
-            "w_b": weight.bias.data,
+            "m_w": transform.weight,  # M has no bias, W always has one
+            "w_w": weight.weight,
+            "w_b": weight.bias,
             "activation": self.config.activation,
             "aggregator": self.config.aggregator,
         }

@@ -3,7 +3,8 @@
 One epoch visits every edge once in shuffled mini-batches.  For each
 batch the trainer draws Q_u negative users and Q_i negative items from
 P_n, embeds positives and negatives together as one GraphSAGE block
-(:meth:`BipartiteGraphSAGE.embed_block`), and minimises J_BG with the
+(:meth:`BipartiteGraphSAGE.embed_block`, with neighbour draws keyed by
+``(epoch, batch)``), and minimises J_BG with the
 optimiser named in :class:`repro.utils.config.TrainConfig`.
 """
 
@@ -82,7 +83,7 @@ class SageTrainer:
                     self.graph, tcfg.batch_size, rng=derive_rng(self.rng, 10 + epoch)
                 )
                 for step, (users, items, weights) in enumerate(batches):
-                    losses.append(self._step(users, items, weights))
+                    losses.append(self._step(users, items, weights, key=(epoch, step)))
                     edges_seen += len(users)
                     if tcfg.log_every and (step + 1) % tcfg.log_every == 0:
                         logger.info(
@@ -108,7 +109,7 @@ class SageTrainer:
             logger.info("epoch %d mean loss %.4f", epoch, mean_loss)
         return result
 
-    def _step(self, users: np.ndarray, items: np.ndarray, weights: np.ndarray) -> float:
+    def _step(self, users: np.ndarray, items: np.ndarray, weights: np.ndarray, key) -> float:
         cfg = self.module.config
         batch = len(users)
         neg_users = self.negative_sampler.sample_users(batch * cfg.negative_samples_user)
@@ -116,7 +117,7 @@ class SageTrainer:
         # One block per batch: positives and negatives share each side's
         # frontiers, neighbour draws and step matrices.
         (z_users, z_neg_users), (z_items, z_neg_items) = self.module.embed_block(
-            self.graph, users=[users, neg_users], items=[items, neg_items]
+            self.graph, users=[users, neg_users], items=[items, neg_items], key=key
         )
 
         loss = bipartite_graph_loss(

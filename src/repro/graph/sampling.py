@@ -1,15 +1,17 @@
 """Neighbour and negative samplers over bipartite graphs.
 
-``NeighborSampler`` implements the fixed-fan-out sampling GraphSAGE uses
-(K1, K2 in the paper's complexity analysis, Section III-D).  Its
-uniform draw is :func:`sample_neighbors`, which turns uniforms into
-neighbour ids; the layer-wise engine calls it with counter-hash
-uniforms.  It reads a neighbour source through two array queries,
-``degrees(side)`` and ``gather_neighbors(side, vertices, offsets)``,
-which both an in-memory :class:`BipartiteGraph` and an out-of-core
+:func:`sample_neighbors` is the fixed-fan-out draw GraphSAGE uses (K1,
+K2 in the paper's complexity analysis, Section III-D): it turns given
+uniforms into neighbour ids.  GraphSAGE training and serving both call
+it with counter-hash uniforms (``repro.core.sage._draw``).  It reads a
+neighbour source through two array queries, ``degrees(side)`` and
+``gather_neighbors(side, vertices, offsets)``, which both an in-memory
+:class:`BipartiteGraph` and an out-of-core
 :class:`~repro.shard.storage.ShardedCSR` answer; the store keeps global
 degrees and per-row neighbour order, so the same uniforms give the same
 draws over a graph and its store.
+``NeighborSampler`` draws neighbours in proportion to edge weight from
+a ``Generator`` (HOP-Rec's weighted random walks).
 ``NegativeSampler`` draws the negatives of Eq. 5's ``P_n`` distribution
 — uniform, or proportional to degree^0.75 as in word2vec.
 """
@@ -30,6 +32,11 @@ def sample_neighbors(source, side: str, vertices: np.ndarray, uniforms: np.ndarr
     position ``floor(uniforms[r, s] * degree)`` of ``vertices[r]``'s
     adjacency row, so a row reads only its own uniforms and row.
     Vertices with no neighbours get -1."""
+    fanout = uniforms.shape[1]
+    if fanout <= 0:
+        raise ValueError("fanout must be positive")
+    counter_add("sampler.samples_drawn", len(vertices) * fanout)
+    counter_add("sampler.batches", 1)
     degrees = source.degrees(side)[vertices]
     offsets = (uniforms * degrees[:, None]).astype(np.int64)
     picked = source.gather_neighbors(side, vertices, offsets)
@@ -37,35 +44,20 @@ def sample_neighbors(source, side: str, vertices: np.ndarray, uniforms: np.ndarr
 
 
 class NeighborSampler:
-    """Draw fixed-size neighbour samples with replacement.
+    """Draw fixed-size neighbour samples with replacement, in proportion
+    to edge weight (importance sampling).
 
-    Sampling is fully vectorised over the batch: per-vertex uniform
-    offsets into the CSR neighbour slices.  Sampling *with* replacement
-    (as in production GraphSAGE implementations) keeps the fan-out shape
-    rectangular and the estimator unbiased.  Vertices with no neighbours
-    receive the placeholder index ``-1``, which callers map to a zero
-    vector.
-
-    ``graph`` is a :class:`BipartiteGraph` or a ``ShardedCSR`` store.
-    With ``weighted=True`` (graphs only) neighbours are drawn
-    proportionally to their edge weights (importance sampling for the
-    ``weighted_mean`` aggregator).
+    Sampling is fully vectorised over the batch.  Sampling *with*
+    replacement keeps the fan-out shape rectangular.  Vertices with no
+    neighbours receive the placeholder index ``-1``.  ``graph`` is an
+    in-memory :class:`BipartiteGraph`.
     """
 
-    def __init__(
-        self,
-        graph,
-        rng: int | np.random.Generator | None = None,
-        weighted: bool = False,
-    ) -> None:
+    def __init__(self, graph: BipartiteGraph, rng: int | np.random.Generator | None = None) -> None:
         self.graph = graph
         self.rng = ensure_rng(rng)
-        self.weighted = weighted
-        if weighted:
-            if not isinstance(graph, BipartiteGraph):
-                raise ValueError("weighted sampling needs an in-memory BipartiteGraph")
-            self._user_cum = self._cumulative(graph._user_csr)
-            self._item_cum = self._cumulative(graph._item_csr)
+        self._user_cum = self._cumulative(graph._user_csr)
+        self._item_cum = self._cumulative(graph._item_csr)
 
     @staticmethod
     def _cumulative(csr) -> np.ndarray:
@@ -87,13 +79,10 @@ class NeighborSampler:
         vertices = np.asarray(vertices, dtype=np.int64)
         counter_add("sampler.samples_drawn", len(vertices) * fanout)
         counter_add("sampler.batches", 1)
-        if self.weighted:
-            csr = self.graph._user_csr if side == "user" else self.graph._item_csr
-            starts = csr.indptr[vertices]
-            degrees = csr.indptr[vertices + 1] - starts
-            return self._sample_weighted(csr, vertices, starts, degrees, fanout, side)
-        uniforms = self.rng.random((len(vertices), fanout))
-        return sample_neighbors(self.graph, side, vertices, uniforms)
+        csr = self.graph._user_csr if side == "user" else self.graph._item_csr
+        starts = csr.indptr[vertices]
+        degrees = csr.indptr[vertices + 1] - starts
+        return self._sample_weighted(csr, vertices, starts, degrees, fanout, side)
 
     def _sample_weighted(
         self,
@@ -151,8 +140,6 @@ class NeighborSampler:
 
     def _sample_reference(self, vertices: np.ndarray, fanout: int, side: str) -> np.ndarray:
         """Mirror of :meth:`_sample` routed through the per-row loop."""
-        if not self.weighted:
-            raise RuntimeError("_sample_reference is only defined for weighted samplers")
         vertices = np.asarray(vertices, dtype=np.int64)
         csr = self.graph._user_csr if side == "user" else self.graph._item_csr
         starts = csr.indptr[vertices]

@@ -86,7 +86,7 @@ class HopRec:
         scale = 1.0 / np.sqrt(d)
         self.user_embeddings = init_rng.normal(scale=scale, size=(graph.num_users, d))
         self.item_embeddings = init_rng.normal(scale=scale, size=(graph.num_items, d))
-        self._sampler = NeighborSampler(graph, rng=derive_rng(self.rng, 2), weighted=True)
+        self._sampler = NeighborSampler(graph, rng=derive_rng(self.rng, 2))
 
     # ------------------------------------------------------------------
     def _walk_targets(self, users: np.ndarray) -> list[list[tuple[int, float]]]:

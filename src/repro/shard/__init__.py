@@ -6,7 +6,7 @@ Public surface:
   memory-mapped CSR blocks with an owner/attach lifecycle.
   A store answers the two array queries ``degrees(side)`` and
   ``gather_neighbors(side, vertices, offsets)`` a graph answers, so
-  :class:`~repro.graph.sampling.NeighborSampler` draws over either.
+  :func:`~repro.graph.sampling.sample_neighbors` draws over either.
 * :func:`partition_balanced` / :func:`partition_by_degree` /
   :func:`partition_from_hierarchy` — deterministic vertex → shard maps.
 * :func:`open_block` / :func:`allocate_block` / :func:`write_block` —

@@ -278,10 +278,10 @@ def _naive_block(module) -> None:
     independent per-occurrence recursion per request."""
     steps = module.config.num_steps
 
-    def embed_block(graph, users=(), items=()):
+    def embed_block(graph, users=(), items=(), key=()):
         return (
-            [module._embed_naive(graph, np.asarray(ids), steps, "user") for ids in users],
-            [module._embed_naive(graph, np.asarray(ids), steps, "item") for ids in items],
+            [module._embed_naive(graph, np.asarray(ids), steps, "user", key) for ids in users],
+            [module._embed_naive(graph, np.asarray(ids), steps, "item", key) for ids in items],
         )
 
     module.embed_block = embed_block
@@ -355,7 +355,7 @@ def _bench_weighted_sampling(mode: str, seed: int, repeats: int) -> list[dict[st
     for size in GRAPH_SIZES[mode]:
         graph = _graph(size, feature_dim=4, seed=seed)
         vertices = np.arange(graph.num_users)
-        sampler = NeighborSampler(graph, rng=seed, weighted=True)
+        sampler = NeighborSampler(graph, rng=seed)
         before = _best_of(
             lambda: sampler._sample_reference(vertices, fanout, "user"), repeats
         )

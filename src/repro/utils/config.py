@@ -23,7 +23,7 @@ class SageConfig:
     embedding_dim: int = 32
     num_steps: int = 2  # P, aggregation depth
     neighbor_samples: tuple[int, ...] = (10, 5)  # K1, K2 fan-outs
-    aggregator: str = "mean"  # mean | sum | max | weighted_mean
+    aggregator: str = "mean"  # mean | sum | max
     activation: str = "leaky_relu"
     negative_samples_user: int = 5  # Q_u in Eq. 5
     negative_samples_item: int = 5  # Q_i in Eq. 5
@@ -47,8 +47,8 @@ class SageConfig:
                 "neighbor_samples must provide a fan-out for each of the "
                 f"{self.num_steps} aggregation steps"
             )
-        if self.aggregator not in {"mean", "sum", "max", "weighted_mean"}:
-            raise ValueError(f"unknown aggregator {self.aggregator!r}")
+        if self.aggregator not in {"mean", "sum", "max"}:
+            raise ValueError(f"unknown aggregator {self.aggregator!r}; use 'mean', 'sum' or 'max'")
         if self.negative_distribution not in {"degree", "uniform"}:
             raise ValueError(
                 f"unknown negative_distribution {self.negative_distribution!r}"

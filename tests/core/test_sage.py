@@ -112,7 +112,7 @@ class TestIsolatedVertices:
 
 
 class TestAggregators:
-    @pytest.mark.parametrize("agg", ["mean", "sum", "max", "weighted_mean"])
+    @pytest.mark.parametrize("agg", ["mean", "sum", "max"])
     def test_all_aggregators_run(self, graph, agg):
         mod = _module(graph, aggregator=agg)
         z = mod.embed_users(graph, np.arange(4))
@@ -122,19 +122,21 @@ class TestAggregators:
         with pytest.raises(ValueError):
             SageConfig(aggregator="median")
 
+    def test_weighted_mean_rejected_naming_mean(self):
+        # It sampled neighbours uniformly, so it was "mean" under a second name.
+        with pytest.raises(ValueError, match="use 'mean'"):
+            SageConfig(aggregator="weighted_mean")
+
 
 class TestGradients:
     def test_gradcheck_through_module(self):
-        # Gradcheck needs a deterministic forward: use fan-outs covering
-        # every neighbour of a tiny dense graph so sampling is exhaustive
-        # ... sampling with replacement is still stochastic, so instead
-        # freeze the sample RNG per call by reseeding.
+        # Neighbour draws are a pure function of (seed, key, side, step,
+        # vertex, slot), so every call of the forward draws the same.
         g = random_bipartite(4, 4, 12, feature_dim=3, rng=0)
         cfg = SageConfig(embedding_dim=4, num_steps=1, neighbor_samples=(4,))
         mod = BipartiteGraphSAGE(3, 3, cfg, rng=0)
 
         def loss():
-            mod._sample_rng = np.random.default_rng(123)  # freeze sampling
             z = mod.embed_users(g, np.arange(4))
             return (z * z).sum()
 
@@ -156,7 +158,7 @@ class TestGradients:
     own_dim=st.integers(1, 24),
     other_dim=st.integers(1, 24),
     out_dim=st.integers(1, 20),
-    aggregator=st.sampled_from(["mean", "sum", "max", "weighted_mean"]),
+    aggregator=st.sampled_from(["mean", "sum", "max"]),
     activation=st.sampled_from(sorted(_ACTIVATIONS)),
     isolated=st.floats(0.0, 1.0),
     bias=st.booleans(),

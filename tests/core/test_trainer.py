@@ -99,14 +99,14 @@ class TestTraining:
     @pytest.mark.parametrize(
         "graph_seed, model_seed, trainer_seed, want",
         [
-            (0, 0, 0, ["0x1.0740cb9df59e2p+3", "0x1.d9ff935ec0676p+2", "0x1.af11461f6b776p+2"]),
-            (4, 1, 9, ["0x1.304d84a9ece3ep+3", "0x1.12895f1c62f3ap+3", "0x1.e619831b4cbe2p+2"]),
+            (0, 0, 0, ["0x1.05b04a19d2960p+3", "0x1.da6133d9d0440p+2", "0x1.b106314f4c506p+2"]),
+            (4, 1, 9, ["0x1.30435d4b5279cp+3", "0x1.0f66bee9a3fdep+3", "0x1.e2ac658e8620ap+2"]),
         ],
     )
     def test_seeded_losses_pinned(self, graph_seed, model_seed, trainer_seed, want):
-        # Exact per-epoch losses recorded before the model gained its
-        # layer-wise ``sample_seed``: drawing that seed must not move the
-        # training draws.
+        # Exact per-epoch losses: training draws are a pure function of
+        # (sample_seed, epoch, batch, side, step, vertex, slot) and the
+        # forward runs the tiled kernel, so any change to either moves them.
         from repro.graph.generators import random_bipartite
 
         graph = random_bipartite(60, 50, 300, feature_dim=6, rng=graph_seed)

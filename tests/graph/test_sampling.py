@@ -5,23 +5,34 @@ import pytest
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite, star_bipartite
-from repro.graph.sampling import NegativeSampler, NeighborSampler, sample_edge_batches
+from repro.graph.sampling import (
+    NegativeSampler,
+    NeighborSampler,
+    sample_edge_batches,
+    sample_neighbors,
+)
+
+
+def _uniforms(n, fanout, seed=0):
+    return np.random.default_rng(seed).random((n, fanout))
 
 
 class TestNeighborSampler:
+    """The uniform draw ``sample_neighbors`` (given uniforms), then the
+    weighted ``NeighborSampler``."""
+
     def test_shapes(self, small_random_graph):
-        sampler = NeighborSampler(small_random_graph, rng=0)
         users = np.arange(10)
-        out = sampler.sample_items_for_users(users, fanout=4)
+        out = sample_neighbors(small_random_graph, "user", users, _uniforms(10, 4))
         assert out.shape == (10, 4)
         items = np.arange(8)
-        out_i = sampler.sample_users_for_items(items, fanout=3)
+        out_i = sample_neighbors(small_random_graph, "item", items, _uniforms(8, 3))
         assert out_i.shape == (8, 3)
 
     def test_samples_are_true_neighbors(self, small_random_graph):
         g = small_random_graph
-        sampler = NeighborSampler(g, rng=0)
-        out = sampler.sample_items_for_users(np.arange(g.num_users), fanout=5)
+        users = np.arange(g.num_users)
+        out = sample_neighbors(g, "user", users, _uniforms(g.num_users, 5))
         for u in range(g.num_users):
             neigh = set(g.item_neighbors(u).tolist())
             sampled = set(out[u].tolist()) - {-1}
@@ -29,46 +40,45 @@ class TestNeighborSampler:
 
     def test_isolated_vertex_padded(self):
         g = BipartiteGraph(3, 3, np.array([[0, 0]]))
-        sampler = NeighborSampler(g, rng=0)
-        out = sampler.sample_items_for_users(np.array([1, 2]), fanout=3)
+        out = sample_neighbors(g, "user", np.array([1, 2]), _uniforms(2, 3))
         assert np.all(out == -1)
 
     def test_empty_graph_handles(self):
         g = BipartiteGraph(2, 2, np.zeros((0, 2), dtype=int))
-        sampler = NeighborSampler(g, rng=0)
-        out = sampler.sample_items_for_users(np.array([0, 1]), fanout=2)
+        out = sample_neighbors(g, "user", np.array([0, 1]), _uniforms(2, 2))
         assert np.all(out == -1)
 
     def test_star_graph(self):
         g = star_bipartite(5)
-        sampler = NeighborSampler(g, rng=0)
-        out = sampler.sample_items_for_users(np.array([0]), fanout=10)
+        out = sample_neighbors(g, "user", np.array([0]), _uniforms(1, 10))
         assert set(out[0].tolist()) <= set(range(5))
 
     def test_invalid_fanout(self, small_random_graph):
         with pytest.raises(ValueError):
+            sample_neighbors(small_random_graph, "user", np.arange(2), np.empty((2, 0)))
+        with pytest.raises(ValueError):
             NeighborSampler(small_random_graph).sample_items_for_users(np.arange(2), 0)
 
     def test_deterministic_with_seed(self, small_random_graph):
-        a = NeighborSampler(small_random_graph, rng=5).sample_items_for_users(
-            np.arange(5), 3
-        )
-        b = NeighborSampler(small_random_graph, rng=5).sample_items_for_users(
-            np.arange(5), 3
-        )
-        assert np.array_equal(a, b)
+        # A row reads only its own uniforms: the same uniforms give the
+        # same draws, whichever other rows share the call.
+        vertices = np.arange(5)
+        uniforms = _uniforms(5, 3, seed=5)
+        a = sample_neighbors(small_random_graph, "user", vertices, uniforms)
+        b = sample_neighbors(small_random_graph, "user", vertices[::-1], uniforms[::-1])
+        assert np.array_equal(a, b[::-1])
 
     def test_weighted_sampling_prefers_heavy_edges(self):
         # user 0: item 0 weight 99, item 1 weight 1.
         g = BipartiteGraph(1, 2, np.array([[0, 0], [0, 1]]), np.array([99.0, 1.0]))
-        sampler = NeighborSampler(g, rng=0, weighted=True)
+        sampler = NeighborSampler(g, rng=0)
         out = sampler.sample_items_for_users(np.zeros(200, dtype=int), fanout=1)
         share_heavy = float(np.mean(out == 0))
         assert share_heavy > 0.9
 
     def test_weighted_isolated_padded(self):
         g = BipartiteGraph(2, 2, np.array([[0, 0]]))
-        sampler = NeighborSampler(g, rng=0, weighted=True)
+        sampler = NeighborSampler(g, rng=0)
         out = sampler.sample_items_for_users(np.array([1]), fanout=2)
         assert np.all(out == -1)
 
@@ -135,8 +145,8 @@ class TestWeightedSamplerEquivalence:
     def test_matches_reference_bitwise(self, seed):
         g = random_bipartite(40, 30, 200, rng=seed)
         vertices = np.arange(g.num_users)
-        fast = NeighborSampler(g, rng=seed, weighted=True)
-        slow = NeighborSampler(g, rng=seed, weighted=True)
+        fast = NeighborSampler(g, rng=seed)
+        slow = NeighborSampler(g, rng=seed)
         got = fast.sample_items_for_users(vertices, fanout=6)
         want = slow._sample_reference(vertices, fanout=6, side="user")
         np.testing.assert_array_equal(got, want)
@@ -144,8 +154,8 @@ class TestWeightedSamplerEquivalence:
     def test_matches_reference_item_side(self):
         g = random_bipartite(25, 35, 150, rng=3)
         vertices = np.arange(g.num_items)
-        fast = NeighborSampler(g, rng=7, weighted=True)
-        slow = NeighborSampler(g, rng=7, weighted=True)
+        fast = NeighborSampler(g, rng=7)
+        slow = NeighborSampler(g, rng=7)
         got = fast.sample_users_for_items(vertices, fanout=4)
         want = slow._sample_reference(vertices, fanout=4, side="item")
         np.testing.assert_array_equal(got, want)
@@ -155,14 +165,9 @@ class TestWeightedSamplerEquivalence:
             5, 4, np.array([[0, 0], [0, 1], [2, 3]]), np.array([1.0, 3.0, 2.0])
         )
         vertices = np.array([0, 1, 0, 4, 2, 2])  # 1 and 4 are isolated
-        fast = NeighborSampler(g, rng=11, weighted=True)
-        slow = NeighborSampler(g, rng=11, weighted=True)
+        fast = NeighborSampler(g, rng=11)
+        slow = NeighborSampler(g, rng=11)
         got = fast.sample_items_for_users(vertices, fanout=5)
         want = slow._sample_reference(vertices, fanout=5, side="user")
         np.testing.assert_array_equal(got, want)
         assert np.all(got[[1, 3]] == -1)
-
-    def test_reference_requires_weighted(self, small_random_graph):
-        sampler = NeighborSampler(small_random_graph, rng=0, weighted=False)
-        with pytest.raises(RuntimeError):
-            sampler._sample_reference(np.arange(3), fanout=2, side="user")

@@ -8,7 +8,7 @@ from repro.clustering.kmeans import kmeans
 from repro.core.hignn import HiGNN
 from repro.core.sage import BipartiteGraphSAGE
 from repro.core.trainer import SageTrainer
-from repro.graph.sampling import NeighborSampler
+from repro.graph.sampling import sample_neighbors
 from repro.utils.config import HiGNNConfig, SageConfig, TrainConfig
 
 
@@ -86,9 +86,9 @@ class TestHiGNNTrace:
 
 class TestComponentCounters:
     def test_sampler_counts_samples(self, small_random_graph):
-        sampler = NeighborSampler(small_random_graph, rng=0)
+        uniforms = np.random.default_rng(0).random((10, 4))
         with obs.observe() as session:
-            sampler.sample_items_for_users(np.arange(10), 4)
+            sample_neighbors(small_random_graph, "user", np.arange(10), uniforms)
         assert session.counter("sampler.samples_drawn") == 40
         assert session.counter("sampler.batches") == 1
 

@@ -1,7 +1,7 @@
 """Bench guard: the disabled fast path must stay near-zero cost.
 
 The instrumentation calls left in hot loops (``counter_add`` in
-``NeighborSampler._sample``, ``span`` in the trainer) execute millions
+``sample_neighbors``, ``span`` in the trainer) execute millions
 of times in a full run, so the disabled path is budgeted per call here
 with deliberately generous bounds — this guards against accidentally
 making the no-op path allocate or lock, not against CI noise.
