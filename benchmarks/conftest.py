@@ -24,7 +24,7 @@ def pytest_addoption(parser):
         default=False,
         help=(
             "opt-in: re-time the hot paths and compare against the "
-            "committed BENCH_hotpaths.json (repro bench --check)"
+            "committed BENCH_hotpaths.json (benchmarks/hotpaths.py --check)"
         ),
     )
 

@@ -1,104 +1,78 @@
 """Hot-path micro-benchmark harness (``BENCH_hotpaths.json``).
 
+Usage::
+
+    python benchmarks/hotpaths.py [--mode quick|full] [--seed N] [--repeats N]
+                                  [--out PATH] [--workers N]
+    python benchmarks/hotpaths.py --check [--baseline PATH] [--tolerance FRAC]
+
 The paper's complexity analysis (Section III-D) puts the cost of one
 HiGNN level in three loops: recursive neighbour embedding, neighbour
-sampling, and K-means.  Each of those hot paths now has a
-batch-efficient implementation *and* a retained reference
-implementation, so this harness can report honest before/after numbers:
+sampling, and K-means.  Each section times a library hot path
+(``after``) against a reference (``before``); the per-occurrence and
+per-point reference loops live in ``tests/oracles.py``, where the
+equivalence tests check the library against them:
 
-* ``embed_all`` — naive recursive inference (``before``) vs layer-wise
-  full-graph inference (``after``).
-* ``train_epoch`` — one training epoch with the naive recursion vs the
-  dedup frontier.
-* ``weighted_sampling`` — per-row cumulative-weight loop vs the batched
-  ``searchsorted`` sampler.
+* ``embed_all`` — naive recursion vs layer-wise full-graph inference.
+* ``train_epoch`` — one epoch with the naive recursion vs the block step.
+* ``weighted_sampling`` — per-row loop vs the batched ``searchsorted``
+  sampler.
 * ``kmeans`` — per-point single-pass / mini-batch loops vs the chunked
   vectorised updates.
+* ``parallel`` — the pool-backed hot paths at ``workers=1`` vs
+  ``workers=N``.  A row is ``degraded`` when it asks for more workers
+  than the process's usable cores (its CPU affinity mask).
+* ``score_topk`` — eager full-table ``argsort`` vs the lazy top-k of
+  :class:`ScoreTableRecommender`.
+* ``shard`` — dense in-memory inference vs the out-of-core sharded path
+  (``full`` mode adds a streamed million-vertex world, measured in
+  subprocess children so each side's peak RSS is its own).
+* ``serving`` — uncached vs LRU-cached request replay, full re-embed vs
+  delta refresh, per-impression vs per-slate serving day.
 
 All workloads are seeded, so repeated runs time identical work; only
-the wall-clock figures vary with the machine.  The JSON report is
-written to the repo root (``BENCH_hotpaths.json``) so the perf
-trajectory is tracked across PRs — see README.md "Performance".
-
-Schema v2 stamps each report with the git commit it was produced at
-(so the BENCH_* trajectory is attributable across PRs) and adds
-counter-derived throughput columns — vertices/sec, samples/sec,
-edges/sec — measured by re-running each "after" workload once under a
-:mod:`repro.obs` session and dividing the observed work counters by the
-best wall time.
-
-Schema v3 adds two sections plus a ``cpu_count`` stamp:
-
-* ``parallel`` — the three pool-backed hot paths (layer-wise
-  ``embed_all``, k-means restarts, ``cvr_score_table``) timed at
-  ``workers=1`` vs ``workers=N``.  Interpret the speedup column against
-  ``cpu_count``: on a single-core box process fan-out cannot beat the
-  in-process path and the honest number is ≤ 1.
-* ``score_topk`` — eager full-table ``argsort`` ranking vs the lazy
-  per-user ``argpartition`` top-k of :class:`ScoreTableRecommender`.
-
-Schema v4 adds the ``shard`` section and two honesty columns on the
-``parallel`` rows (``workers_effective``, ``degraded``) so a speedup of
-≤ 1 is machine-attributable: a row is ``degraded`` when it asks for
-more workers than the process's usable cores (its CPU affinity mask).
-The ``shard`` rows compare dense in-memory layer-wise inference against
-the out-of-core sharded path over
-:class:`~repro.shard.storage.ShardedCSR` blocks: an in-process smoke
-world in every mode, plus (``full`` mode only) a streamed
-million-vertex world measured in subprocess children so each side's
-peak RSS is isolated.  The shard rows carry ``degraded`` too.
-
-Schema v5 adds a top-level ``telemetry`` stamp (the resource-sampler
-interval and where peak-RSS figures come from) and switches the shard
-subprocess rows from ``getrusage`` high-water marks to the background
-:class:`~repro.obs.monitor.ResourceMonitor` time-series measured inside
-each child (``peak_rss_source`` says which).  v5 also introduces the
-regression sentinel: :func:`check_report` compares a fresh run against
-a recorded baseline row-by-row within a fractional tolerance, skipping
-rows the baseline machine cannot reproduce honestly (``degraded``
-hosts, mismatched ``workers_effective``), and
-:func:`render_check_table` renders the per-row delta table that
-``repro bench --check`` prints.
-
-Schema v6 adds the ``serving`` section — the streaming serving stack:
-
-* ``replay`` — a seeded Zipf-ish visitor stream served through
-  :class:`~repro.streaming.frontend.ServingFrontend`, uncached
-  (``before``) vs with the bounded LRU slate cache (``after``), with
-  requests/sec, p50/p99 request latency (from the ``serving.latency_ms``
-  histogram) and the cache hit rate.
-* ``delta_refresh`` — full streaming re-embed of a mutated graph
-  (``before``) vs the delta-aware
-  :meth:`~repro.streaming.refresh.StreamingEmbedder.refresh`
-  (``after``), with the recomputed-row fraction.
-* ``run_day`` — the per-impression serving-day loop (``before``) vs the
-  per-slate vectorised :meth:`OnlineEnvironment.run_day` (``after``).
-
-:func:`load_report` still reads v1–v5 files.
+the wall-clock figures vary with the machine.  Throughput columns come
+from one more run of each ``after`` workload under a :mod:`repro.obs`
+session.  Reports carry the git commit, ``cpu_count`` and the telemetry
+stamp.  ``--check`` is the regression sentinel: :func:`check_report`
+compares a fresh run against a recorded report row by row within a
+fractional tolerance, skipping rows the baseline machine cannot
+reproduce honestly (``degraded`` hosts, mismatched ``workers_effective``).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
 import subprocess
+import sys
 import time
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+# Runs from any working directory without installing the package; the
+# reference loops come from the test oracles.
+for _path in (ROOT / "src", ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
-from repro.obs.monitor import DEFAULT_INTERVAL_S
-from repro.utils.rng import ensure_rng
+import numpy as np  # noqa: E402
+
+from repro.obs.monitor import DEFAULT_INTERVAL_S  # noqa: E402
+from repro.utils.rng import ensure_rng  # noqa: E402
+from tests.oracles import (  # noqa: E402
+    embed_naive,
+    minibatch_kmeans_loop,
+    run_day_loop,
+    single_pass_kmeans_loop,
+    weighted_sample_loop,
+)
 
 SCHEMA = "repro/hotpath-bench/v6"
-SCHEMA_V1 = "repro/hotpath-bench/v1"
-SCHEMA_V2 = "repro/hotpath-bench/v2"
-SCHEMA_V3 = "repro/hotpath-bench/v3"
-SCHEMA_V4 = "repro/hotpath-bench/v4"
-SCHEMA_V5 = "repro/hotpath-bench/v5"
-DEFAULT_REPORT = "BENCH_hotpaths.json"
+DEFAULT_REPORT = ROOT / "BENCH_hotpaths.json"
 
 # Fractional slowdown of ``after_s`` tolerated by ``check_report``
 # before a row counts as a regression.  Micro-benchmarks on shared CI
@@ -180,15 +154,11 @@ __all__ = [
     "render_check_table",
     "git_commit",
     "SCHEMA",
-    "SCHEMA_V1",
-    "SCHEMA_V2",
-    "SCHEMA_V3",
-    "SCHEMA_V4",
-    "SCHEMA_V5",
     "DEFAULT_REPORT",
     "CHECK_TOLERANCE",
     "CHECK_MIN_DELTA_S",
     "dense_footprint_mb",
+    "main",
 ]
 
 
@@ -261,7 +231,7 @@ def _sage_module(graph, seed: int):
 
 def _naive_embed_all(module, graph, batch_size: int = 2048) -> None:
     """Full-graph inference through the per-occurrence reference
-    recursion ``_embed_naive``, batch by batch (the "before" of both SAGE
+    recursion ``embed_naive``, batch by batch (the "before" of both SAGE
     rows)."""
     from repro.nn.tensor import no_grad
 
@@ -270,18 +240,18 @@ def _naive_embed_all(module, graph, batch_size: int = 2048) -> None:
         for side, n in (("user", graph.num_users), ("item", graph.num_items)):
             for start in range(0, n, batch_size):
                 ids = np.arange(start, min(start + batch_size, n))
-                module._embed_naive(graph, ids, steps, side)
+                embed_naive(module, graph, ids, steps, side)
 
 
 def _naive_block(module) -> None:
-    """Route ``module.embed_block`` through ``_embed_naive``: one
+    """Route ``module.embed_block`` through ``embed_naive``: one
     independent per-occurrence recursion per request."""
     steps = module.config.num_steps
 
     def embed_block(graph, users=(), items=(), key=()):
         return (
-            [module._embed_naive(graph, np.asarray(ids), steps, "user", key) for ids in users],
-            [module._embed_naive(graph, np.asarray(ids), steps, "item", key) for ids in items],
+            [embed_naive(module, graph, ids, steps, "user", key) for ids in users],
+            [embed_naive(module, graph, ids, steps, "item", key) for ids in items],
         )
 
     module.embed_block = embed_block
@@ -357,7 +327,7 @@ def _bench_weighted_sampling(mode: str, seed: int, repeats: int) -> list[dict[st
         vertices = np.arange(graph.num_users)
         sampler = NeighborSampler(graph, rng=seed)
         before = _best_of(
-            lambda: sampler._sample_reference(vertices, fanout, "user"), repeats
+            lambda: weighted_sample_loop(sampler, vertices, fanout, "user"), repeats
         )
         after = _best_of(
             lambda: sampler.sample_items_for_users(vertices, fanout), repeats
@@ -382,19 +352,14 @@ def _bench_weighted_sampling(mode: str, seed: int, repeats: int) -> list[dict[st
 
 
 def _bench_kmeans(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
-    from repro.clustering.kmeans import (
-        _minibatch,
-        _minibatch_loop,
-        _single_pass,
-        _single_pass_loop,
-    )
+    from repro.clustering.kmeans import _minibatch, _single_pass
     from repro.utils.config import KMeansConfig
 
     rows = []
     for n, dim, k in KMEANS_SIZES[mode]:
         points = ensure_rng(seed).normal(size=(n, dim))
         single_before = _best_of(
-            lambda: _single_pass_loop(points, k, ensure_rng(seed)), repeats
+            lambda: single_pass_kmeans_loop(points, k, ensure_rng(seed)), repeats
         )
         single_after = _best_of(
             lambda: _single_pass(points, k, ensure_rng(seed)), repeats
@@ -412,7 +377,7 @@ def _bench_kmeans(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
         )
         cfg = KMeansConfig(algorithm="minibatch", max_iter=20, batch_size=256)
         mb_before = _best_of(
-            lambda: _minibatch_loop(points, k, cfg, ensure_rng(seed)), repeats
+            lambda: minibatch_kmeans_loop(points, k, cfg, ensure_rng(seed)), repeats
         )
         mb_after = _best_of(
             lambda: _minibatch(points, k, cfg, ensure_rng(seed)), repeats
@@ -889,7 +854,7 @@ def _bench_serving(mode: str, seed: int, repeats: int) -> list[dict[str, Any]]:
         if vectorised:
             env.run_day(recommender, visitors, slate_size=k)
         else:
-            env._run_day_loop(recommender, visitors, slate_size=k)
+            run_day_loop(env, recommender, visitors, slate_size=k)
 
     before = _best_of(lambda: day(False), repeats)
     after = _best_of(lambda: day(True), repeats)
@@ -953,27 +918,10 @@ def write_report(report: dict[str, Any], path: str | Path = DEFAULT_REPORT) -> P
 
 
 def load_report(path: str | Path = DEFAULT_REPORT) -> dict[str, Any]:
-    """Read a report, upgrading v1–v5 files to the v6 shape in memory.
-
-    v1 reports predate the commit stamp and throughput columns; v2
-    reports predate the ``parallel``/``score_topk`` sections and the
-    ``cpu_count``/``workers`` stamps; v3 reports predate the ``shard``
-    section and the per-row ``workers_effective``/``degraded`` honesty
-    columns; v4 reports predate the ``telemetry`` stamp and the
-    monitor-measured ``peak_rss_source`` column; v5 reports predate the
-    ``serving`` section.  The loader fills the missing top-level fields
-    with None and leaves rows as-is (newer columns and sections are
-    optional), so consumers only handle one shape.
-    """
+    """Read a report; any schema but :data:`SCHEMA` is rejected."""
     report = json.loads(Path(path).read_text())
     schema = report.get("schema")
-    if schema in (SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4, SCHEMA_V5):
-        report["schema"] = SCHEMA
-        report.setdefault("git_commit", None)
-        report.setdefault("cpu_count", None)
-        report.setdefault("workers", None)
-        report.setdefault("telemetry", None)
-    elif schema != SCHEMA:
+    if schema != SCHEMA:
         raise ValueError(f"unknown bench report schema {schema!r} in {path}")
     return report
 
@@ -1181,3 +1129,81 @@ def render_check_table(result: dict[str, Any]) -> str:
         f"{len(result['regressions'])} regression(s)"
     )
     return "\n".join(lines)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hotpaths", description="hot-path perf benchmark (writes BENCH_hotpaths.json)"
+    )
+    parser.add_argument("--mode", default="quick", choices=("quick", "full"))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--out", default=str(DEFAULT_REPORT))
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for every pool-backed path; the parallel "
+        "section compares 1 against N (4 when N is 1)",
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="regression sentinel: compare against the baseline report "
+        "instead of overwriting it; exit 1 on regression",
+    )
+    parser.add_argument(
+        "--baseline",
+        default=None,
+        metavar="PATH",
+        help="baseline report for --check (default: the --out path)",
+    )
+    parser.add_argument(
+        "--tolerance",
+        type=float,
+        default=CHECK_TOLERANCE,
+        metavar="FRAC",
+        help="fractional slowdown tolerated by --check before a row "
+        "counts as a regression (default 0.5 = 50%%)",
+    )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point; returns a process exit code (2: unreadable baseline)."""
+    args = build_parser().parse_args(argv)
+    if args.workers > 1:
+        from repro.parallel import configure
+
+        configure(workers=args.workers)
+    # The parallel section compares serial vs N workers; default the
+    # comparison to 4 when --workers was left at 1.
+    workers = args.workers if args.workers > 1 else 4
+    if args.check:
+        baseline_path = args.baseline or args.out
+        try:
+            baseline = load_report(baseline_path)
+        except (OSError, ValueError) as exc:
+            print(f"cannot load baseline {baseline_path}: {exc}", file=sys.stderr)
+            return 2
+    report = bench_hotpaths(args.mode, seed=args.seed, repeats=args.repeats, workers=workers)
+    if not args.check:
+        print(render_report(report))
+        print(f"wrote {write_report(report, args.out)}")
+        return 0
+    result = check_report(report, baseline, tolerance=args.tolerance)
+    print(render_check_table(result))
+    if result["regressions"]:
+        print(
+            f"\nREGRESSION: {len(result['regressions'])} row(s) slower "
+            f"than baseline {baseline_path} beyond tolerance",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"\nok: no regressions vs {baseline_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -23,6 +23,7 @@ from repro.core.sage import BipartiteGraphSAGE
 from repro.graph.generators import random_bipartite
 from repro.nn.tensor import no_grad
 from repro.utils.config import KMeansConfig, SageConfig
+from repro.utils.rng import ensure_rng
 
 
 def _embed_time(num_users, num_items, fanouts, repeats=3):
@@ -78,7 +79,7 @@ def test_aggregation_scales_with_fanout_product(benchmark, report):
 
 
 def test_single_pass_kmeans_linear(benchmark, report):
-    rng = np.random.default_rng(0)
+    rng = ensure_rng(0)
     sizes = [2000, 4000, 8000]
 
     def sweep():
@@ -101,7 +102,7 @@ def test_single_pass_kmeans_linear(benchmark, report):
 
 def test_single_pass_faster_than_lloyd_at_scale(benchmark, report):
     def run():
-        rng = np.random.default_rng(1)
+        rng = ensure_rng(1)
         points = rng.normal(size=(6000, 16))
         start = time.perf_counter()
         kmeans(points, 64, KMeansConfig(algorithm="single_pass"), rng=0)

@@ -4,9 +4,9 @@ Times the three loops the paper's complexity analysis names (recursive
 neighbour embedding, neighbour sampling, K-means) with their retained
 reference implementations ("before") against the batch-efficient
 rewrites ("after"), and writes the tracked ``BENCH_hotpaths.json``
-report at the repo root.  ``benchmarks/run_benchmarks.py`` (or
-``python -m repro.cli bench``) produces the same report standalone;
-``--mode full`` regenerates the record at the full workload grid.
+report at the repo root.  ``python benchmarks/hotpaths.py`` produces
+the same report standalone; ``--mode full`` regenerates the record at
+the full workload grid.
 
 The v3 ``parallel`` section is smoked here with a 2-worker pool under a
 hard map timeout so a wedged pool fails the run instead of hanging it.
@@ -28,7 +28,7 @@ import pathlib
 import pytest
 
 from repro.parallel import configure
-from repro.utils.bench import (
+from hotpaths import (
     SCHEMA,
     bench_hotpaths,
     check_report,
@@ -108,8 +108,8 @@ def test_bench_check_against_committed_baseline(request, report):
 
     Re-times the quick grid and compares it to the committed
     ``BENCH_hotpaths.json`` with :func:`check_report` — the same
-    comparison ``repro bench --check`` runs.  Rows only present in the
-    full-mode record stay unmatched (not failures), and degraded /
+    comparison ``benchmarks/hotpaths.py --check`` runs.  Rows only present
+    in the full-mode record stay unmatched (not failures), and degraded /
     ``workers_effective``-mismatched rows are skipped, so this is safe
     on any host that can run the quick grid.
     """

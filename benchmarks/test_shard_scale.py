@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.bench import SHARD_SIZES, _run_shard_child, dense_footprint_mb
+from hotpaths import SHARD_SIZES, _run_shard_child, dense_footprint_mb
 
 
 @pytest.mark.slow

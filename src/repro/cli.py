@@ -6,7 +6,6 @@ Usage::
     python -m repro.cli table3  [--size small] [--seed 0] [--methods ge,hignn,din]
     python -m repro.cli taxonomy [--size small] [--levels 3] [--seed 0]
     python -m repro.cli ab      [--size tiny]  [--days 2] [--seed 0]
-    python -m repro.cli bench   [--mode quick] [--out BENCH_hotpaths.json]
     python -m repro.cli shard   [--users N] [--mode sharded|dense] [--json]
     python -m repro.cli serve   [--rounds 4] [--requests 400] [--json]
     python -m repro.cli lint    [PATHS ...] [--format json] [--write-baseline]
@@ -36,10 +35,8 @@ Observability flags (see README "Observability"):
   count for the parallel hot paths (see README "Parallelism"); results
   are bitwise identical for any N given the same seed.
 
-``repro bench --check`` re-runs the hot-path bench and compares it
-against a recorded baseline (``BENCH_hotpaths.json``) instead of
-overwriting it — non-zero exit plus a per-row delta table on
-regression.  See README "Performance".
+The hot-path micro-benchmark is ``benchmarks/hotpaths.py``; see README
+"Performance".
 """
 
 from __future__ import annotations
@@ -81,37 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--days", type=int, default=2)
     ab.add_argument("--visitors", type=int, default=2000)
 
-    bench = sub.add_parser(
-        "bench", help="hot-path perf benchmark (writes BENCH_hotpaths.json)"
-    )
-    bench.add_argument("--mode", default="quick", choices=("quick", "full"))
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--out", default="BENCH_hotpaths.json")
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="regression sentinel: compare against the baseline report "
-        "instead of overwriting it; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline report for --check (default: the --out path)",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="fractional slowdown tolerated by --check before a row "
-        "counts as a regression (default 0.5 = 50%%)",
-    )
-    _obs_flags(bench)
-    _workers_flag(bench)
-    _logging_flags(bench)
-
     shard = sub.add_parser(
         "shard",
         help="stream a sharded world, embed it out-of-core, report cost",
@@ -139,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         dest="as_json",
-        help="print a machine-readable report (used by `repro bench`)",
+        help="print a machine-readable report (used by benchmarks/hotpaths.py)",
     )
     shard.add_argument(
         "--keep", action="store_true", help="leave the shard directory on disk"
@@ -390,52 +356,6 @@ def cmd_ab(args: argparse.Namespace) -> int:
         rng=args.seed,
     )
     print(report.render())
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.utils.bench import (
-        bench_hotpaths,
-        check_report,
-        load_report,
-        render_check_table,
-        render_report,
-        write_report,
-    )
-
-    # The parallel section compares serial vs N workers; default the
-    # comparison to 4 when the global --workers was left at 1.
-    workers = args.workers if args.workers and args.workers > 1 else 4
-    if getattr(args, "check", False):
-        baseline_path = args.baseline or args.out
-        try:
-            baseline = load_report(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-    report = bench_hotpaths(
-        args.mode, seed=args.seed, repeats=args.repeats, workers=workers
-    )
-    if getattr(args, "check", False):
-        tolerance = args.tolerance
-        result = (
-            check_report(report, baseline)
-            if tolerance is None
-            else check_report(report, baseline, tolerance=tolerance)
-        )
-        print(render_check_table(result))
-        if result["regressions"]:
-            print(
-                f"\nREGRESSION: {len(result['regressions'])} row(s) slower "
-                f"than baseline {baseline_path} beyond tolerance",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"\nok: no regressions vs {baseline_path}")
-        return 0
-    print(render_report(report))
-    path = write_report(report, args.out)
-    print(f"wrote {path}")
     return 0
 
 
@@ -704,7 +624,6 @@ _COMMANDS = {
     "table3": cmd_table3,
     "taxonomy": cmd_taxonomy,
     "ab": cmd_ab,
-    "bench": cmd_bench,
     "shard": cmd_shard,
     "serve": cmd_serve,
     "lint": cmd_lint,

@@ -26,9 +26,7 @@ neighbours' rows and the weights.
   matrices once, bottom-up, with autograd, and gathers the requested
   rows, so each vertex is embedded once per step (Section III-D; cf.
   Cascade-BGNN's redundancy elimination).  Under the serving key its
-  rows are :meth:`embed_all`'s, bitwise.  The per-occurrence recursion
-  :meth:`_embed_naive` is the reference for equivalence tests and the
-  hot-path benchmark.
+  rows are :meth:`embed_all`'s, bitwise.
 * **Layer-wise full-graph inference** — :meth:`embed_all` computes the
   step-``p`` matrices for *all* vertices from the cached step-``p-1``
   matrices, one pass per step, instead of re-expanding the whole
@@ -455,29 +453,6 @@ class BipartiteGraphSAGE(Module):
         """
         stacked = neigh_prev.reshape(valid.shape[0], valid.shape[1], neigh_prev.shape[1])
         return _sage_step(own_prev, stacked, valid, self._step_params(step, side))
-
-    def _embed_naive(
-        self, graph: BipartiteGraph, ids: np.ndarray, step: int, side: str, key=()
-    ) -> Tensor:
-        """Reference recursion: every frontier occurrence embedded anew,
-        with :meth:`embed_block`'s draws for ``key``."""
-        cfg = self.config
-        ids = np.asarray(ids)
-        mask = ids >= 0
-        safe = np.where(mask, ids, 0)
-
-        if step == 0:
-            base = self._features(graph, side)[safe].copy()
-            base[~mask] = 0.0
-            return Tensor(base)
-
-        own_prev = self._embed_naive(graph, ids, step - 1, side, key)
-
-        fanout = cfg.neighbor_samples[cfg.num_steps - step]
-        neigh = _draw(graph, side, safe, fanout, self.sample_seed, step, key)
-        neigh[~mask] = -1
-        flat = self._embed_naive(graph, neigh.reshape(-1), step - 1, _OTHER[side], key)
-        return _zero_padding(self._layer(step, side, own_prev, flat, neigh >= 0), ids)
 
     # ------------------------------------------------------------------
     # Layer-wise inference: the one pass behind every full-graph embedding

@@ -56,14 +56,9 @@ class NeighborSampler:
     def __init__(self, graph: BipartiteGraph, rng: int | np.random.Generator | None = None) -> None:
         self.graph = graph
         self.rng = ensure_rng(rng)
-        self._user_cum = self._cumulative(graph._user_csr)
-        self._item_cum = self._cumulative(graph._item_csr)
-
-    @staticmethod
-    def _cumulative(csr) -> np.ndarray:
-        """Per-row cumulative weight shares for weighted sampling."""
-        cum = np.cumsum(csr.weights)
-        return cum
+        # Cumulative edge weights in CSR order: each row's CDF is a slice.
+        self._user_cum = np.cumsum(graph._user_csr.weights)
+        self._item_cum = np.cumsum(graph._item_csr.weights)
 
     def sample_items_for_users(self, users: np.ndarray, fanout: int) -> np.ndarray:
         """``(len(users), fanout)`` item ids; -1 marks isolated users."""
@@ -74,33 +69,22 @@ class NeighborSampler:
         return self._sample(items, fanout, side="item")
 
     def _sample(self, vertices: np.ndarray, fanout: int, side: str) -> np.ndarray:
+        """Weighted draws via batched ``searchsorted`` (no per-row loop).
+
+        One ``rng.random`` call covers every non-isolated row (the stream
+        a per-row loop would consume, row by row), and one searchsorted
+        over the global cumulative-weight array inverts all CDFs at
+        once.  Per-row positions follow by subtracting the row offsets.
+        """
         if fanout <= 0:
             raise ValueError("fanout must be positive")
         vertices = np.asarray(vertices, dtype=np.int64)
         counter_add("sampler.samples_drawn", len(vertices) * fanout)
         counter_add("sampler.batches", 1)
         csr = self.graph._user_csr if side == "user" else self.graph._item_csr
+        cum = self._user_cum if side == "user" else self._item_cum
         starts = csr.indptr[vertices]
         degrees = csr.indptr[vertices + 1] - starts
-        return self._sample_weighted(csr, vertices, starts, degrees, fanout, side)
-
-    def _sample_weighted(
-        self,
-        csr,
-        vertices: np.ndarray,
-        starts: np.ndarray,
-        degrees: np.ndarray,
-        fanout: int,
-        side: str,
-    ) -> np.ndarray:
-        """Weighted draws via batched ``searchsorted`` (no per-row loop).
-
-        One ``rng.random`` call covers every non-isolated row (the same
-        draw sequence the per-row loop consumed), and one searchsorted
-        over the global cumulative-weight array inverts all CDFs at
-        once.  Per-row positions follow by subtracting the row offsets.
-        """
-        cum = self._user_cum if side == "user" else self._item_cum
         out = np.full((len(vertices), fanout), -1, dtype=np.int64)
         active = np.flatnonzero(degrees > 0)
         if len(active) == 0:
@@ -114,37 +98,6 @@ class NeighborSampler:
         picks = np.clip(picks, 0, (a_degrees - 1)[:, None])
         out[active] = csr.indices[a_starts[:, None] + picks]
         return out
-
-    def _sample_weighted_loop(
-        self,
-        csr,
-        vertices: np.ndarray,
-        starts: np.ndarray,
-        degrees: np.ndarray,
-        fanout: int,
-        side: str,
-    ) -> np.ndarray:
-        """Per-row reference implementation (equivalence tests + bench)."""
-        cum = self._user_cum if side == "user" else self._item_cum
-        out = np.full((len(vertices), fanout), -1, dtype=np.int64)
-        for row, (start, deg) in enumerate(zip(starts, degrees)):
-            if deg == 0:
-                continue
-            base = cum[start - 1] if start > 0 else 0.0
-            slice_cum = cum[start : start + deg] - base
-            total = slice_cum[-1]
-            draws = self.rng.random(fanout) * total
-            picks = np.searchsorted(slice_cum, draws, side="right")
-            out[row] = csr.indices[start + np.minimum(picks, deg - 1)]
-        return out
-
-    def _sample_reference(self, vertices: np.ndarray, fanout: int, side: str) -> np.ndarray:
-        """Mirror of :meth:`_sample` routed through the per-row loop."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        csr = self.graph._user_csr if side == "user" else self.graph._item_csr
-        starts = csr.indptr[vertices]
-        degrees = csr.indptr[vertices + 1] - starts
-        return self._sample_weighted_loop(csr, vertices, starts, degrees, fanout, side)
 
 
 class NegativeSampler:

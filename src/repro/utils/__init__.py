@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, configuration, logging, timing."""
+"""Shared utilities: RNG management, configuration, logging, tables."""
 
 from repro.utils.rng import RngMixin, derive_rng, ensure_rng
 from repro.utils.config import (
@@ -8,7 +8,6 @@ from repro.utils.config import (
     TrainConfig,
 )
 from repro.utils.logging import configure_logging, get_logger, reset_logging
-from repro.utils.timer import Timer
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "get_logger",
     "configure_logging",
     "reset_logging",
-    "Timer",
     "format_table",
 ]

@@ -10,6 +10,7 @@ laptop-sized graphs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
@@ -47,6 +48,9 @@ class SageConfig:
                 "neighbor_samples must provide a fan-out for each of the "
                 f"{self.num_steps} aggregation steps"
             )
+        for fanout in self.neighbor_samples:
+            if isinstance(fanout, bool) or not isinstance(fanout, numbers.Integral) or fanout < 1:
+                raise ValueError(f"neighbor_samples must be positive integers, got {fanout!r}")
         if self.aggregator not in {"mean", "sum", "max"}:
             raise ValueError(f"unknown aggregator {self.aggregator!r}; use 'mean', 'sum' or 'max'")
         if self.negative_distribution not in {"degree", "uniform"}:

@@ -185,22 +185,24 @@ class TestVectorisedVariantsMatchLoops:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_single_pass_chunk1_bitwise_equal(self, seed):
-        from repro.clustering.kmeans import _single_pass, _single_pass_loop
+        from repro.clustering.kmeans import _single_pass
+        from tests.oracles import single_pass_kmeans_loop
 
         points = np.random.default_rng(seed).normal(size=(80, 5))
         fast = _single_pass(points, 7, np.random.default_rng(seed), chunk_size=1)
-        slow = _single_pass_loop(points, 7, np.random.default_rng(seed))
+        slow = single_pass_kmeans_loop(points, 7, np.random.default_rng(seed))
         np.testing.assert_array_equal(fast.labels, slow.labels)
         np.testing.assert_array_equal(fast.centers, slow.centers)
         assert fast.inertia == slow.inertia
 
     @pytest.mark.parametrize("seed", range(6))
     def test_single_pass_chunked_close_to_loop(self, seed):
-        from repro.clustering.kmeans import _single_pass, _single_pass_loop
+        from repro.clustering.kmeans import _single_pass
+        from tests.oracles import single_pass_kmeans_loop
 
         points, _ = _blobs(n_per=40, k=4, dim=3, seed=seed)
         fast = _single_pass(points, 4, np.random.default_rng(seed))
-        slow = _single_pass_loop(points, 4, np.random.default_rng(seed))
+        slow = single_pass_kmeans_loop(points, 4, np.random.default_rng(seed))
         # Chunked assignment uses stale centres within a chunk, so only
         # the clustering quality (not the arithmetic) is expected to agree.
         assert fast.centers.shape == slow.centers.shape
@@ -209,12 +211,13 @@ class TestVectorisedVariantsMatchLoops:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_minibatch_matches_loop(self, seed):
-        from repro.clustering.kmeans import _minibatch, _minibatch_loop
+        from repro.clustering.kmeans import _minibatch
+        from tests.oracles import minibatch_kmeans_loop
 
         points, _ = _blobs(n_per=30, k=3, dim=4, seed=seed)
         cfg = KMeansConfig(algorithm="minibatch", max_iter=10, batch_size=32)
         fast = _minibatch(points, 3, cfg, np.random.default_rng(seed))
-        slow = _minibatch_loop(points, 3, cfg, np.random.default_rng(seed))
+        slow = minibatch_kmeans_loop(points, 3, cfg, np.random.default_rng(seed))
         np.testing.assert_allclose(fast.centers, slow.centers, atol=1e-9)
         np.testing.assert_array_equal(fast.labels, slow.labels)
 

@@ -3,7 +3,7 @@
 Every neighbour draw is a pure function of (sample_seed, key, side,
 step, vertex, slot) (``repro.core.sage._draw``), and every matmul runs
 whole tiles, so under one key the block mini-batch step
-(``embed_block``), the naive per-occurrence recursion (``_embed_naive``)
+(``embed_block``), the naive per-occurrence recursion (``embed_naive``)
 and the layer-wise ``embed_all`` (the serving key) give the same bytes
 for every valid row, and the block and the recursion the same parameter
 gradients.
@@ -19,6 +19,7 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.config import SageConfig, TrainConfig
+from tests.oracles import embed_naive
 
 
 @pytest.fixture()
@@ -38,7 +39,7 @@ NEGATIVES = np.array([5, 3, 21, 0, 5])
 
 
 def _naive(mod, graph, ids, side):
-    return mod._embed_naive(graph, np.asarray(ids), mod.config.num_steps, side)
+    return embed_naive(mod, graph, ids, mod.config.num_steps, side)
 
 
 def _block_one(mod, graph, ids, side):
@@ -80,7 +81,7 @@ def _assert_same_rows(got, want, ids):
 
 
 class TestDedupEquivalence:
-    """``embed_block`` (deduplicated frontiers) against ``_embed_naive``."""
+    """``embed_block`` (deduplicated frontiers) against ``embed_naive``."""
 
     @pytest.mark.parametrize("aggregator", ["mean", "sum", "max"])
     def test_dedup_matches_naive(self, graph, aggregator):
@@ -137,8 +138,8 @@ class TestBlockStep:
 
         mod.zero_grad()
         steps = mod.config.num_steps
-        naive = [mod._embed_naive(graph, r, steps, "user", key) for r in users]
-        naive += [mod._embed_naive(graph, r, steps, "item", key) for r in items]
+        naive = [embed_naive(mod, graph, r, steps, "user", key) for r in users]
+        naive += [embed_naive(mod, graph, r, steps, "item", key) for r in items]
         for got, want, ids in zip(z_users + z_items, naive, users + items):
             _assert_same_rows(got.data, want.data, ids)
         _batch_loss(naive).backward()

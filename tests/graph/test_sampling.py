@@ -11,6 +11,7 @@ from repro.graph.sampling import (
     sample_edge_batches,
     sample_neighbors,
 )
+from tests.oracles import weighted_sample_loop
 
 
 def _uniforms(n, fanout, seed=0):
@@ -148,7 +149,7 @@ class TestWeightedSamplerEquivalence:
         fast = NeighborSampler(g, rng=seed)
         slow = NeighborSampler(g, rng=seed)
         got = fast.sample_items_for_users(vertices, fanout=6)
-        want = slow._sample_reference(vertices, fanout=6, side="user")
+        want = weighted_sample_loop(slow, vertices, fanout=6, side="user")
         np.testing.assert_array_equal(got, want)
 
     def test_matches_reference_item_side(self):
@@ -157,7 +158,7 @@ class TestWeightedSamplerEquivalence:
         fast = NeighborSampler(g, rng=7)
         slow = NeighborSampler(g, rng=7)
         got = fast.sample_users_for_items(vertices, fanout=4)
-        want = slow._sample_reference(vertices, fanout=4, side="item")
+        want = weighted_sample_loop(slow, vertices, fanout=4, side="item")
         np.testing.assert_array_equal(got, want)
 
     def test_matches_reference_with_isolated_and_duplicate_vertices(self):
@@ -168,6 +169,6 @@ class TestWeightedSamplerEquivalence:
         fast = NeighborSampler(g, rng=11)
         slow = NeighborSampler(g, rng=11)
         got = fast.sample_items_for_users(vertices, fanout=5)
-        want = slow._sample_reference(vertices, fanout=5, side="user")
+        want = weighted_sample_loop(slow, vertices, fanout=5, side="user")
         np.testing.assert_array_equal(got, want)
         assert np.all(got[[1, 3]] == -1)

@@ -1,7 +1,8 @@
-"""The self-lint gate: ``src/`` must be clean against the checked-in baseline.
+"""The self-lint gate: ``src/`` and ``benchmarks/`` must be clean against
+the checked-in baseline.
 
 This is the CI teeth of the analyzer — any fresh finding in the library
-fails this test, and any stale baseline entry (a finding that was fixed
+or the benchmarks fails this test, and any stale baseline entry (a finding that was fixed
 but whose entry lingers) fails it too, keeping the baseline honest in
 both directions.
 """
@@ -28,13 +29,15 @@ def self_lint_result():
         if baseline_path is not None and baseline_path.is_file()
         else None
     )
-    return run_lint([str(REPO_ROOT / "src")], config=config, baseline=baseline)
+    return run_lint(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")], config=config, baseline=baseline
+    )
 
 
 def test_src_has_no_fresh_findings(self_lint_result):
     rendered = "\n".join(f.render() for f in self_lint_result.fresh)
     assert self_lint_result.fresh == [], (
-        f"fresh lint findings in src/ — fix them or justify a baseline "
+        f"fresh lint findings in src/ or benchmarks/ — fix them or justify a baseline "
         f"entry:\n{rendered}"
     )
 
@@ -57,7 +60,7 @@ def test_gate_actually_walked_the_tree(self_lint_result):
 
 
 def test_tests_assert_on_no_timing_ratio():
-    # RPR105 polices tests/, which the src/ gate above does not walk.
+    # RPR105 polices tests/, which the gate above does not walk.
     result = run_lint([str(REPO_ROOT / "tests")], config=load_config(REPO_ROOT), enabled={"RPR105"})
     assert [f.render() for f in result.fresh] == []
     assert result.files_checked > 50

@@ -1,7 +1,7 @@
 """Tier-1 smoke of the bench harness's shard section (quick grid only)."""
 
 from repro.shard import active_shard_dirs
-from repro.utils.bench import SHARD_SIZES, _bench_shard, dense_footprint_mb
+from benchmarks.hotpaths import SHARD_SIZES, _bench_shard, dense_footprint_mb
 
 
 def test_quick_shard_rows():

@@ -43,54 +43,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ge=" in out
 
-    def test_bench_writes_report(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        from repro.utils import bench
-
-        # Shrink the workload grid: this exercises the wiring, not perf.
-        monkeypatch.setitem(bench.GRAPH_SIZES, "quick", [(40, 30, 120)])
-        monkeypatch.setitem(bench.KMEANS_SIZES, "quick", [(60, 4, 5)])
-        monkeypatch.setitem(
-            bench.SHARD_SIZES,
-            "quick",
-            [{"users": 120, "items": 90, "clusters": 6, "shards": 3, "degree": 4.0}],
-        )
-        monkeypatch.setitem(
-            bench.SERVING_SIZES,
-            "quick",
-            {
-                "graph": (50, 40, 200),
-                "requests": 60,
-                "k": 5,
-                "visitors": 25,
-                "delta_edges": 2,
-                "refresh_batch": 16,
-            },
-        )
-        out = tmp_path / "bench.json"
-        code = main(["bench", "--mode", "quick", "--repeats", "1",
-                     "--out", str(out)])
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "hot-path benchmark" in printed
-        assert f"wrote {out}" in printed
-        data = json.loads(out.read_text())
-        assert data["schema"] == bench.SCHEMA
-        assert "git_commit" in data
-        assert set(data["benchmarks"]) == {
-            "embed_all", "train_epoch", "weighted_sampling", "kmeans",
-            "parallel", "score_topk", "shard", "serving",
-        }
-        serving_variants = {
-            row["variant"] for row in data["benchmarks"]["serving"]
-        }
-        assert serving_variants == {"replay", "delta_refresh", "run_day"}
-        for row in data["benchmarks"]["parallel"]:
-            assert row["workers_effective"] >= 1
-            assert isinstance(row["degraded"], bool)
-        assert data["benchmarks"]["embed_all"][0]["vertices_per_sec"] > 0
-
 
 class TestServeCommand:
     def test_serve_runs_and_prints_rounds(self, capsys):
@@ -126,15 +78,3 @@ class TestServeCommand:
         assert args.rounds == 4
         assert args.refresh_every == 1
         assert args.refresh_threshold is None
-
-
-class TestBenchParser:
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.mode == "quick"
-        assert args.out == "BENCH_hotpaths.json"
-        assert args.repeats == 3
-
-    def test_bench_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--mode", "huge"])

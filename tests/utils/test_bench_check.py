@@ -1,16 +1,17 @@
-"""The bench regression sentinel: ``check_report`` / ``repro bench --check``.
+"""The bench regression sentinel: ``check_report`` / ``hotpaths.py --check``.
 
 Unit tests drive :func:`check_report` on synthetic reports (row
-matching, tolerance bands, honesty skips); the CLI tests run the real
-``bench --check`` wiring on a shrunken workload grid, including a
-deliberately slowed hot path that must flip the exit code.
+matching, tolerance bands, honesty skips); the command-line tests run
+``benchmarks/hotpaths.py``'s ``main`` on a shrunken workload grid,
+including a deliberately slowed hot path that must flip the exit code.
 """
 
 import copy
 
 import pytest
 
-from repro.utils.bench import (
+from benchmarks import hotpaths as bench
+from benchmarks.hotpaths import (
     CHECK_MIN_DELTA_S,
     CHECK_TOLERANCE,
     SCHEMA,
@@ -179,8 +180,6 @@ class TestOversubscribedRows:
     def test_flag_follows_affinity_mask(self, monkeypatch, workers, usable, degraded):
         import os
 
-        from repro.utils import bench
-
         monkeypatch.setitem(bench.GRAPH_SIZES, "quick", [(40, 30, 120)])
         monkeypatch.setitem(bench.KMEANS_SIZES, "quick", [(60, 4, 5)])
         monkeypatch.setitem(bench.PARALLEL_SCORE_SIZES, "quick", (32, 12, 8))
@@ -222,8 +221,6 @@ class TestRenderCheckTable:
 class TestCliBenchCheck:
     @pytest.fixture()
     def tiny_grids(self, monkeypatch):
-        from repro.utils import bench
-
         monkeypatch.setitem(bench.GRAPH_SIZES, "quick", [(40, 30, 120)])
         monkeypatch.setitem(bench.KMEANS_SIZES, "quick", [(60, 4, 5)])
         monkeypatch.setitem(bench.SCORE_SIZES, "quick", [(40, 30, 5, 10)])
@@ -236,19 +233,14 @@ class TestCliBenchCheck:
 
     def test_check_against_own_baseline_exits_zero(self, tiny_grids, tmp_path, capsys,
                                                    monkeypatch):
-        from repro.cli import main
-        from repro.utils import bench
-
         out = tmp_path / "bench.json"
-        assert main(["bench", "--mode", "quick", "--repeats", "1",
-                     "--out", str(out)]) == 0
+        assert bench.main(["--mode", "quick", "--repeats", "1", "--out", str(out)]) == 0
         capsys.readouterr()
         # The check re-measures the saved report itself, not a second
         # timed run, so the load -> check -> render -> exit path carries
         # no wall-clock noise (real slowdowns: the test below).
         monkeypatch.setattr(bench, "bench_hotpaths", lambda *a, **k: bench.load_report(out))
-        code = main(["bench", "--mode", "quick", "--repeats", "1",
-                     "--check", "--baseline", str(out)])
+        code = bench.main(["--mode", "quick", "--repeats", "1", "--check", "--baseline", str(out)])
         printed = capsys.readouterr().out
         assert code == 0
         assert "bench --check" in printed
@@ -258,12 +250,10 @@ class TestCliBenchCheck:
                                              monkeypatch):
         import time
 
-        from repro.cli import main
         from repro.serving.recommend import ScoreTableRecommender
 
         out = tmp_path / "bench.json"
-        assert main(["bench", "--mode", "quick", "--repeats", "1",
-                     "--out", str(out)]) == 0
+        assert bench.main(["--mode", "quick", "--repeats", "1", "--out", str(out)]) == 0
         capsys.readouterr()
 
         slow = ScoreTableRecommender.recommend
@@ -273,8 +263,7 @@ class TestCliBenchCheck:
             return slow(self, user, k)
 
         monkeypatch.setattr(ScoreTableRecommender, "recommend", crippled)
-        code = main(["bench", "--mode", "quick", "--repeats", "1",
-                     "--check", "--baseline", str(out)])
+        code = bench.main(["--mode", "quick", "--repeats", "1", "--check", "--baseline", str(out)])
         captured = capsys.readouterr()
         assert code == 1
         assert "REGRESSION" in captured.out
@@ -282,9 +271,52 @@ class TestCliBenchCheck:
         assert "row(s) slower than baseline" in captured.err
 
     def test_missing_baseline_exits_two(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["bench", "--mode", "quick", "--repeats", "1",
-                     "--check", "--baseline", str(tmp_path / "absent.json")])
+        code = bench.main(
+            ["--mode", "quick", "--repeats", "1", "--check", "--baseline", str(tmp_path / "absent.json")]
+        )
         assert code == 2
         assert "cannot load baseline" in capsys.readouterr().err
+
+    def test_bench_defaults(self):
+        args = bench.build_parser().parse_args([])
+        assert args.mode == "quick"
+        assert args.out == str(bench.ROOT / "BENCH_hotpaths.json")
+        assert args.repeats == 3
+
+    def test_bench_rejects_unknown_mode(self):
+        with pytest.raises(SystemExit):
+            bench.build_parser().parse_args(["--mode", "huge"])
+
+    def test_bench_writes_report(self, tiny_grids, capsys, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.setitem(
+            bench.SERVING_SIZES,
+            "quick",
+            {
+                "graph": (50, 40, 200),
+                "requests": 60,
+                "k": 5,
+                "visitors": 25,
+                "delta_edges": 2,
+                "refresh_batch": 16,
+            },
+        )
+        out = tmp_path / "bench.json"
+        assert bench.main(["--mode", "quick", "--repeats", "1", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "hot-path benchmark" in printed
+        assert f"wrote {out}" in printed
+        data = json.loads(out.read_text())
+        assert data["schema"] == bench.SCHEMA
+        assert "git_commit" in data
+        assert set(data["benchmarks"]) == {
+            "embed_all", "train_epoch", "weighted_sampling", "kmeans",
+            "parallel", "score_topk", "shard", "serving",
+        }
+        serving_variants = {
+            row["variant"] for row in data["benchmarks"]["serving"]
+        }
+        assert serving_variants == {"replay", "delta_refresh", "run_day"}
+        for row in data["benchmarks"]["parallel"]:
+            assert row["workers_effective"] >= 1

@@ -1,7 +1,6 @@
-"""Utility modules: RNG plumbing, configs, timer, logging, tables."""
+"""Utility modules: RNG plumbing, configs, logging, tables."""
 
 import logging
-import time
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from repro.utils.config import HiGNNConfig, KMeansConfig, SageConfig, TrainConfi
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngMixin, derive_rng, ensure_rng
 from repro.utils.tables import format_table
-from repro.utils.timer import Timer
 
 
 class TestRng:
@@ -38,7 +36,7 @@ class TestRng:
         assert a.random() != b.random()
 
     def test_ensure_matches_default_rng_stream(self):
-        # bench.py swapped np.random.default_rng(seed) for ensure_rng(seed);
+        # The hot-path bench swapped np.random.default_rng(seed) for ensure_rng(seed);
         # the streams must stay bitwise identical or every recorded baseline
         # workload changes under the refactor.
         ours = ensure_rng(123)
@@ -66,6 +64,9 @@ class TestConfigs:
             SageConfig(num_steps=0)
         with pytest.raises(ValueError):
             SageConfig(num_steps=3, neighbor_samples=(5, 5))
+        for fanouts in ((0, 3), (-2, 3), (2.5, 3), (True, 3)):
+            with pytest.raises(ValueError, match="neighbor_samples"):
+                SageConfig(neighbor_samples=fanouts)
         with pytest.raises(ValueError):
             SageConfig(aggregator="avg")
         with pytest.raises(ValueError):
@@ -115,17 +116,6 @@ class TestConfigs:
     def test_to_dict_flattens(self):
         d = HiGNNConfig().to_dict()
         assert d["sage"]["embedding_dim"] == 32
-
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_lap_requires_context(self):
-        with pytest.raises(RuntimeError):
-            Timer().lap()
 
 
 class TestLogging:
