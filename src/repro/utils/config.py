@@ -30,8 +30,9 @@ class SageConfig:
     negative_samples_item: int = 5  # Q_i in Eq. 5
     # gamma in Eq. 5 — the edge-weight feature fed to f for negative
     # pairs.  Default 1.0 (= a single click) so the weight channel alone
-    # cannot separate positives from negatives; a smaller gamma lets the
-    # similarity head cheat and starves the embeddings of gradient.
+    # cannot separate positives from negatives.  The tiny-world ablation
+    # (EXPERIMENTS.md "Ablations") reads better purity at gamma 0.1, so
+    # a small gamma is not shown to starve the embeddings.
     negative_weight: float = 1.0
     negative_distribution: str = "degree"  # degree (deg^0.75) | uniform
     similarity_head: str = "hybrid"  # mlp (paper-literal) | dot | hybrid
