@@ -3,10 +3,10 @@
 Times the three loops the paper's complexity analysis names (recursive
 neighbour embedding, neighbour sampling, K-means) with their retained
 reference implementations ("before") against the batch-efficient
-rewrites ("after"), and writes the tracked ``BENCH_hotpaths.json``
-report at the repo root.  ``python benchmarks/hotpaths.py`` produces
-the same report standalone; ``--mode full`` regenerates the record at
-the full workload grid.
+rewrites ("after"), and writes a quick-mode report to a temporary
+directory, leaving the tracked ``BENCH_hotpaths.json`` alone.
+``python benchmarks/hotpaths.py`` writes the report standalone;
+``--mode full --workers 2`` regenerates the tracked record.
 
 The v3 ``parallel`` section is smoked here with a 2-worker pool under a
 hard map timeout so a wedged pool fails the run instead of hanging it.
@@ -41,10 +41,10 @@ from hotpaths import (
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_hotpath_bench_writes_tracked_report(report):
+def test_hotpath_bench_writes_report(report, tmp_path):
     configure(map_timeout_s=120.0)  # fail fast if a worker pool wedges
     result = bench_hotpaths("quick", seed=0, repeats=3, workers=2)
-    path = write_report(result, REPO_ROOT / "BENCH_hotpaths.json")
+    path = write_report(result, tmp_path / "BENCH_hotpaths.json")
     report("hotpath_bench", render_report(result))
 
     data = json.loads(path.read_text())

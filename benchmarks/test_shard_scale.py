@@ -1,8 +1,8 @@
 """Million-vertex out-of-core scaling record (ISSUE acceptance run).
 
-Streams the tracked full-mode world (~10^6 vertices) straight to shard
-files and embeds it over mmap blocks in a subprocess, so the measured
-peak RSS is the sharded path's own.  Marked ``slow``: this is the run
+Streams the tracked full-mode world (~10^6 vertices) straight to an
+out-of-core store and embeds it over its memory-mapped CSRs in a
+subprocess, so the measured peak RSS is the out-of-core path's own.  Marked ``slow``: this is the run
 whose numbers land in ``BENCH_hotpaths.json``'s ``shard`` section and
 EXPERIMENTS.md — deselect with ``-m 'not slow'``.
 """
@@ -32,5 +32,4 @@ def test_million_vertex_world_stays_out_of_core(report):
         + f"\ndense_footprint_mb   {floor:.1f}",
     )
     assert result["num_edges"] >= 10**6
-    assert result["edges_shard_local"] >= 0.9
     assert result["peak_rss_mb"] < floor

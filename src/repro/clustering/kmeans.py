@@ -66,7 +66,7 @@ def kmeans(
     n_clusters: int,
     config: KMeansConfig | None = None,
     rng: int | np.random.Generator | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> KMeansResult:
     """Cluster ``points`` into ``n_clusters`` groups.
 
@@ -74,10 +74,9 @@ def kmeans(
     and keeps the lowest-inertia result.  ``n_clusters`` is clamped to
     the number of distinct points.
 
-    ``workers`` selects the pool (default: the globally configured
-    count).  With ``n_init > 1`` the restarts run concurrently, each on
-    its own pre-derived RNG stream; the first restart clones the caller's
-    generator so ``n_init=1`` results are reproduced exactly.  Large
+    ``workers`` is the pool size (1: in-process).  With ``n_init > 1``
+    the restarts run concurrently, each on its own pre-derived RNG
+    stream; the first restart clones the caller's generator so ``n_init=1`` results are reproduced exactly.  Large
     assignment passes are additionally chunked.  Results are bitwise
     identical for every worker count given the same seed.
     """

@@ -378,7 +378,7 @@ class BipartiteGraphSAGE(Module):
         source,
         batch_size: int = 2048,
         mode: str = "layerwise",
-        workers: int | None = None,
+        workers: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Inference-mode embeddings (Z_u, Z_i) for every vertex.
 
@@ -393,7 +393,7 @@ class BipartiteGraphSAGE(Module):
         read-only memmaps come back and stay valid across later calls).
         Neighbours come from the per-vertex counter hash rooted at
         :attr:`sample_seed`, so a graph and its store give the same
-        bytes at any ``workers`` (default: the configured pool size) and
+        bytes at any ``workers`` (pool size; 1 runs in-process) and
         any ``batch_size`` (rows per worker task) — the bytes of
         ``StreamingEmbedder(self, sample_seed=self.sample_seed)
         .full_embed(graph)``.  ``mode`` only accepts ``"layerwise"``.

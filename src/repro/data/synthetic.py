@@ -461,8 +461,7 @@ class StreamedWorldConfig:
     builder, so peak memory is O(vertices + chunk) however many edges
     the world has.  ``within_cluster`` is the probability a click stays
     inside the user's latent cluster — the community structure HiGNN's
-    level-1 K-means recovers, and the reason cluster-aligned shards keep
-    most edges local.
+    level-1 K-means recovers.
     """
 
     num_users: int = 100_000
@@ -494,21 +493,20 @@ def stream_world_to_shards(
     num_shards: int = 4,
     seed: int | np.random.Generator | None = 0,
 ):
-    """Generate a cluster-structured world directly into shard files.
+    """Generate a cluster-structured world directly into a store.
 
-    Both vertex sides share one latent cluster space; whole clusters are
-    packed per shard (greedy, by combined vertex count), so a fraction
-    ``>= within_cluster`` of edges is shard-local by construction —
-    the locality a fitted hierarchy's level-1 partition would recover,
-    available before any model exists.  Edge weights count repeated
-    clicks (duplicates are merged per user, exactly like
-    ``BipartiteGraph``).  Returns the owner ``ShardedCSR``.
+    Both vertex sides share one latent cluster space, and a fraction
+    ``within_cluster`` of each user's clicks stays inside the user's
+    cluster.  Edge weights count repeated clicks (duplicates are merged
+    per user, exactly like ``BipartiteGraph``).  Returns the owner
+    ``ShardedCSR``.
 
-    Memory stays bounded: per-vertex arrays (clusters, shard map,
-    degrees) plus one ``chunk_users`` batch of edges; the builder spills
-    the item-side adjacency per shard and sorts one shard at a time.
+    Memory stays bounded: per-vertex arrays (clusters, degrees) plus one
+    ``chunk_users`` batch of edges; the builder spills the item-side
+    adjacency into ``num_shards`` item-id ranges and sorts one range at
+    a time.  ``num_shards`` sets only that memory bound: the store's
+    bytes are the same for any value.
     """
-    from repro.shard.partition import pack_groups
     from repro.shard.storage import ShardedCSRBuilder
 
     cfg = config or StreamedWorldConfig()
@@ -523,13 +521,6 @@ def stream_world_to_shards(
     user_cluster = assign_rng.choice(cfg.num_clusters, size=cfg.num_users, p=popularity)
     item_cluster = assign_rng.choice(cfg.num_clusters, size=cfg.num_items, p=popularity)
 
-    combined = np.bincount(user_cluster, minlength=cfg.num_clusters) + np.bincount(
-        item_cluster, minlength=cfg.num_clusters
-    )
-    cluster_shard = pack_groups(combined, num_shards)
-    user_shard = cluster_shard[user_cluster]
-    item_shard = cluster_shard[item_cluster]
-
     # Items grouped by cluster for O(1) within-cluster draws.
     item_counts = np.bincount(item_cluster, minlength=cfg.num_clusters)
     items_by_cluster = np.argsort(item_cluster, kind="stable")
@@ -542,11 +533,8 @@ def stream_world_to_shards(
         cfg.num_users,
         cfg.num_items,
         num_shards,
-        user_shard,
-        item_shard,
         user_feature_dim=cfg.feature_dim,
         item_feature_dim=cfg.feature_dim,
-        partition="stream-cluster",
     ) as builder:
         for start in range(0, cfg.num_users, cfg.chunk_users):
             stop = min(start + cfg.chunk_users, cfg.num_users)

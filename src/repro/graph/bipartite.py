@@ -112,6 +112,15 @@ class _CSR:
     def degree(self, row: int) -> int:
         return int(self.indptr[row + 1] - self.indptr[row])
 
+    def gather(self, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Column ids at per-row ``offsets`` (``(len(rows), fanout)``)
+        into each row.  Positions past the last edge are clamped, so rows
+        of degree 0 give garbage (-1 when there are no edges at all)."""
+        if len(self.indices) == 0:
+            return np.full(offsets.shape, -1, dtype=np.int64)
+        starts = self.indptr[np.asarray(rows, dtype=np.int64)]
+        return self.indices[np.minimum(starts[:, None] + offsets, len(self.indices) - 1)]
+
     def grown(
         self, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_rows: int
     ) -> "_CSR":
@@ -360,14 +369,7 @@ class BipartiteGraph:
         last edge are clamped, so rows of degree 0 return garbage (-1 on
         an edgeless side); callers mask them with :meth:`degrees`.
         """
-        csr = self._csr(side)
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if len(csr.indices) == 0:
-            return np.full(offsets.shape, -1, dtype=np.int64)
-        positions = np.minimum(
-            csr.indptr[vertices][:, None] + offsets, len(csr.indices) - 1
-        )
-        return csr.indices[positions]
+        return self._csr(side).gather(vertices, offsets)
 
     def adjacent(self, side: str, vertices: np.ndarray) -> np.ndarray:
         """Neighbours of every ``side`` vertex in ``vertices``, rows
@@ -429,32 +431,14 @@ class BipartiteGraph:
     # ------------------------------------------------------------------
     # Sharded storage interop
     # ------------------------------------------------------------------
-    def to_sharded(
-        self,
-        path,
-        num_shards: int = 4,
-        hierarchy=None,
-        user_shard: np.ndarray | None = None,
-        item_shard: np.ndarray | None = None,
-    ):
-        """Write this graph into a :class:`~repro.shard.storage.ShardedCSR`.
-
-        Returns the owner store handle.  Partitioning follows
-        ``ShardedCSR.from_graph``: explicit shard arrays, else a fitted
-        HiGNN hierarchy's level-1 clusters, else degree balancing.  Per
-        row neighbour order is preserved exactly, so samplers over the
-        store replay this graph's draw streams bit for bit.
-        """
+    def to_sharded(self, path):
+        """Write this graph's two CSRs and features into a new
+        :class:`~repro.shard.storage.ShardedCSR` directory; returns the
+        owner store handle.  Per-row neighbour order is kept, so draws
+        over the store are this graph's, bit for bit."""
         from repro.shard.storage import ShardedCSR
 
-        return ShardedCSR.from_graph(
-            self,
-            path,
-            num_shards=num_shards,
-            hierarchy=hierarchy,
-            user_shard=user_shard,
-            item_shard=item_shard,
-        )
+        return ShardedCSR.from_graph(self, path)
 
     @staticmethod
     def from_sharded(path) -> "BipartiteGraph":

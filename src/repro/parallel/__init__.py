@@ -15,7 +15,6 @@ from repro.parallel.pool import (
     ParallelConfig,
     WorkerPool,
     configure,
-    default_workers,
     get_pool,
     shutdown_pools,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "ParallelConfig",
     "WorkerPool",
     "configure",
-    "default_workers",
     "get_pool",
     "shutdown_pools",
     "SharedMatrix",

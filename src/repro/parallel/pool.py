@@ -50,7 +50,6 @@ __all__ = [
     "WorkerPool",
     "configure",
     "get_pool",
-    "default_workers",
     "shutdown_pools",
 ]
 
@@ -63,58 +62,34 @@ _INLINE_CONTEXT_BYTES = 65536
 
 @dataclass
 class ParallelConfig:
-    """Process-global defaults for the parallel execution layer.
+    """Process-global settings of the parallel execution layer.
 
-    ``workers`` is the pool size :func:`get_pool` hands out when the call
-    site does not name one (the CLI's ``--workers`` lands here);
-    ``start_method`` picks the multiprocessing context (``fork`` where
-    available — required for cheap pool spin-up); ``map_timeout_s``
-    bounds every parallel map so a deadlocked pool raises instead of
-    hanging the caller.
+    ``map_timeout_s`` bounds every parallel map so a deadlocked pool
+    raises instead of hanging the caller.  The worker count is not a
+    setting: every call site takes ``workers`` as an argument.
     """
 
-    workers: int = 1
-    start_method: str | None = None
     map_timeout_s: float | None = None
-
-    def resolved_start_method(self) -> str:
-        if self.start_method is not None:
-            return self.start_method
-        return "fork" if "fork" in mp.get_all_start_methods() else mp.get_start_method()
 
 
 _CONFIG = ParallelConfig()
 _POOLS: dict[int, "WorkerPool"] = {}
 
 
-def configure(
-    workers: int | None = None,
-    start_method: str | None = None,
-    map_timeout_s: float | None = None,
-) -> ParallelConfig:
-    """Set the process-global defaults; returns the live config."""
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        _CONFIG.workers = int(workers)
-    if start_method is not None:
-        _CONFIG.start_method = start_method
+def configure(map_timeout_s: float | None = None) -> ParallelConfig:
+    """Set the process-global settings; returns the live config."""
     if map_timeout_s is not None:
         _CONFIG.map_timeout_s = float(map_timeout_s)
     return _CONFIG
 
 
-def default_workers() -> int:
-    return _CONFIG.workers
-
-
-def get_pool(workers: int | None = None) -> "WorkerPool":
-    """The shared pool for ``workers`` (default: the configured count).
+def get_pool(workers: int = 1) -> "WorkerPool":
+    """The shared pool for ``workers`` (``<= 1``: in-process).
 
     Pools are cached per worker count and shut down at interpreter exit,
     so repeated hot-path calls reuse live worker processes.
     """
-    count = _CONFIG.workers if workers is None else max(1, int(workers))
+    count = max(1, int(workers))
     pool = _POOLS.get(count)
     if pool is None:
         pool = _POOLS[count] = WorkerPool(count)
@@ -233,9 +208,8 @@ class WorkerPool:
     forks a ``multiprocessing.Pool`` on first use and keeps it warm.
     """
 
-    def __init__(self, workers: int | None = None, start_method: str | None = None) -> None:
-        self.workers = _CONFIG.workers if workers is None else max(1, int(workers))
-        self._start_method = start_method
+    def __init__(self, workers: int = 1) -> None:
+        self.workers = max(1, int(workers))
         self._pool: mp.pool.Pool | None = None
         self._owner_pid: int | None = None
         self._broken = False
@@ -255,7 +229,8 @@ class WorkerPool:
             # belongs to the parent and must not be touched here.
             self._pool = None
         try:
-            ctx = mp.get_context((self._start_method or _CONFIG.resolved_start_method()))
+            # fork where available: workers start cheaply and inherit imports.
+            ctx = mp.get_context("fork" if hasattr(os, "fork") else None)
             self._pool = ctx.Pool(self.workers, initializer=_worker_init)
         except (OSError, ValueError) as exc:  # e.g. no /dev/shm semaphores
             self._broken = True

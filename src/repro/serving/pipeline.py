@@ -55,12 +55,12 @@ def cvr_score_table(
     num_users: int,
     candidate_items: np.ndarray,
     batch_users: int = 64,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> np.ndarray:
     """(num_users, num_candidates) model scores for slate ranking.
 
     User batches are scored independently — over a process pool when
-    ``workers`` (or the configured default) exceeds one — and written
+    ``workers`` exceeds one — and written
     back in batch order, so the table is bitwise identical for every
     worker count.
     """

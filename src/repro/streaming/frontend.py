@@ -98,13 +98,13 @@ class ServingFrontend:
     # ------------------------------------------------------------------
     # Embedding lifecycle
     # ------------------------------------------------------------------
-    def warm(self, workers: int | None = None) -> None:
+    def warm(self, workers: int = 1) -> None:
         """Full embedding pass; must run once before serving."""
         self.embedder.full_embed(self.graph.graph, workers=workers)
         self.graph.clear_dirty()
         self._adopt_embeddings()
 
-    def refresh(self, workers: int | None = None) -> RefreshStats:
+    def refresh(self, workers: int = 1) -> RefreshStats:
         """Delta-refresh embeddings and invalidate stale slates.
 
         Any recomputed row can reorder any slate (scores are inner

@@ -116,7 +116,7 @@ class StreamingEmbedder:
     # Full pass
     # ------------------------------------------------------------------
     def full_embed(
-        self, graph: BipartiteGraph, workers: int | None = None
+        self, graph: BipartiteGraph, workers: int = 1
     ) -> tuple[np.ndarray, np.ndarray]:
         """Embed every vertex, caching all per-step matrices.
 
@@ -157,7 +157,7 @@ class StreamingEmbedder:
         graph: BipartiteGraph | IncrementalBipartiteGraph,
         dirty_users: np.ndarray | None = None,
         dirty_items: np.ndarray | None = None,
-        workers: int | None = None,
+        workers: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bring the cached embeddings up to date with a mutated graph.
 
@@ -208,7 +208,7 @@ class StreamingEmbedder:
         graph: BipartiteGraph,
         dirty_users: np.ndarray,
         dirty_items: np.ndarray,
-        workers: int | None,
+        workers: int,
     ) -> tuple[str, bool, int]:
         """Update the cache; returns ``(mode, degraded, rows_recomputed)``."""
         nu, ni = graph.num_users, graph.num_items

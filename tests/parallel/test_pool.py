@@ -9,8 +9,7 @@ import pytest
 import repro.obs as obs
 from repro.obs.metrics import counter_add
 from repro.obs.trace import span
-from repro.parallel import WorkerPool, configure, get_pool
-from repro.parallel import pool as pool_mod
+from repro.parallel import WorkerPool, get_pool
 
 
 # Task functions must be module-level so worker processes can resolve
@@ -42,16 +41,6 @@ def _counted(task, context):
         return task
 
 
-@pytest.fixture
-def restore_config():
-    """Keep the module-global ParallelConfig pristine across tests."""
-    workers = pool_mod._CONFIG.workers
-    timeout = pool_mod._CONFIG.map_timeout_s
-    yield
-    pool_mod._CONFIG.workers = workers
-    pool_mod._CONFIG.map_timeout_s = timeout
-
-
 class TestSerialFallback:
     def test_workers_one_never_spawns(self):
         pool = WorkerPool(1)
@@ -68,14 +57,10 @@ class TestSerialFallback:
         finally:
             pool.shutdown()
 
-    def test_configure_sets_default(self, restore_config):
-        configure(workers=3)
-        assert get_pool().workers == 3
+    def test_get_pool_defaults_to_in_process(self):
+        # The worker count is an argument; nothing process-global sets it.
+        assert get_pool().workers == 1 and not get_pool().parallel
         assert get_pool(2).workers == 2
-
-    def test_configure_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            configure(workers=0)
 
 
 @pytest.mark.parallel

@@ -12,7 +12,6 @@ def test_quick_shard_rows():
     row = rows[0]
     assert row["variant"] == "embed_sharded_smoke"
     assert row["bitwise_equal"] is True
-    assert row["edges_shard_local"] >= 0.9
     assert row["build_s"] > 0 and row["after_s"] > 0
     # One count per vertex per propagation step (two steps configured).
     assert row["vertices_embedded"] == 2 * (

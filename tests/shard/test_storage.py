@@ -1,8 +1,11 @@
-"""ShardedCSR storage: round-trips, lifecycle, block access."""
+"""ShardedCSR storage: round-trips, validation at open, lifecycle."""
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.data import StreamedWorldConfig, stream_world_to_shards
 from repro.graph import BipartiteGraph
 from repro.graph.generators import random_bipartite
 from repro.shard import ShardedCSR, active_shard_dirs
@@ -10,6 +13,21 @@ from repro.shard import ShardedCSR, active_shard_dirs
 
 def _world(seed=0, users=80, items=60, edges=400):
     return random_bipartite(users, items, edges, feature_dim=5, rng=seed)
+
+
+def _files(path):
+    """Every file of a store directory, by name."""
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+def _assert_builder_writes_graph_bytes(tmp_path, cfg, num_shards):
+    """A store streamed with ``num_shards`` item ranges holds the bytes
+    ``to_sharded`` writes for its own graph."""
+    with stream_world_to_shards(tmp_path / "w", cfg, num_shards=num_shards, seed=1) as store:
+        graph = store.to_graph()
+        with graph.to_sharded(tmp_path / "g") as again:
+            assert _files(store.path) == _files(again.path)
+        _assert_same_graph(graph, BipartiteGraph.from_sharded(store.path))
 
 
 def _edge_table(graph):
@@ -32,10 +50,14 @@ def _assert_same_graph(a, b):
 class TestRoundTrip:
     @pytest.mark.parametrize("num_shards", [1, 4, 17])
     def test_to_sharded_from_sharded(self, tmp_path, num_shards):
+        # num_shards is the stream builder's item-range count here.
+        cfg = StreamedWorldConfig(
+            num_users=90, num_items=70, num_clusters=3, feature_dim=2, chunk_users=25
+        )
+        _assert_builder_writes_graph_bytes(tmp_path, cfg, num_shards)
         graph = _world()
-        store = graph.to_sharded(tmp_path / "s", num_shards=num_shards)
+        store = graph.to_sharded(tmp_path / "s")
         try:
-            assert store.num_shards == num_shards
             assert store.num_edges == graph.num_edges
             back = BipartiteGraph.from_sharded(tmp_path / "s")
             _assert_same_graph(graph, back)
@@ -46,22 +68,16 @@ class TestRoundTrip:
         assert not (tmp_path / "s").exists()
 
     def test_empty_shards_roundtrip(self, tmp_path):
-        # Every vertex on shard 0 of 3: shards 1 and 2 hold zero rows.
-        graph = _world(users=10, items=8, edges=30)
-        user_shard = np.zeros(10, dtype="<i4")
-        item_shard = np.zeros(8, dtype="<i4")
-        with graph.to_sharded(
-            tmp_path / "s", num_shards=3, user_shard=user_shard, item_shard=item_shard
-        ) as store:
-            assert store.edges_shard_local == 1.0
-            assert len(store.shard_rows("user", 1)) == 0
-            assert len(store.shard_rows("item", 2)) == 0
-            _assert_same_graph(graph, store.to_graph())
+        # 17 item ranges over 8 items: most ranges spill nothing.
+        cfg = StreamedWorldConfig(
+            num_users=10, num_items=8, num_clusters=2, feature_dim=2, chunk_users=3
+        )
+        _assert_builder_writes_graph_bytes(tmp_path, cfg, 17)
 
     def test_isolated_vertices_roundtrip(self, tmp_path):
         # Vertices with degree 0 must survive the trip with their ids.
         graph = BipartiteGraph(6, 5, np.array([[0, 0], [0, 2], [5, 4]]))
-        with graph.to_sharded(tmp_path / "s", num_shards=4) as store:
+        with graph.to_sharded(tmp_path / "s") as store:
             back = store.to_graph()
             _assert_same_graph(graph, back)
             assert np.array_equal(store.degrees("user"), graph.user_degrees())
@@ -69,7 +85,7 @@ class TestRoundTrip:
 
     def test_per_row_neighbor_order_preserved(self, tmp_path):
         graph = _world(seed=3)
-        with graph.to_sharded(tmp_path / "s", num_shards=5) as store:
+        with graph.to_sharded(tmp_path / "s") as store:
             for user in range(graph.num_users):
                 ids, weights = store.neighbors("user", user)
                 assert np.array_equal(ids, graph.item_neighbors(user))
@@ -83,9 +99,9 @@ class TestRoundTrip:
 class TestLifecycle:
     def test_existing_store_refused(self, tmp_path):
         graph = _world(users=10, items=8, edges=20)
-        with graph.to_sharded(tmp_path / "s", num_shards=2):
+        with graph.to_sharded(tmp_path / "s"):
             with pytest.raises(FileExistsError):
-                graph.to_sharded(tmp_path / "s", num_shards=2)
+                graph.to_sharded(tmp_path / "s")
 
     def test_open_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -93,7 +109,7 @@ class TestLifecycle:
 
     def test_owner_registered_until_destroy(self, tmp_path):
         graph = _world(users=10, items=8, edges=20)
-        store = graph.to_sharded(tmp_path / "s", num_shards=2)
+        store = graph.to_sharded(tmp_path / "s")
         assert str(tmp_path / "s") in active_shard_dirs()
         store.destroy()
         assert str(tmp_path / "s") not in active_shard_dirs()
@@ -101,32 +117,63 @@ class TestLifecycle:
 
     def test_close_keeps_files_and_blocks_access(self, tmp_path):
         graph = _world(users=10, items=8, edges=20)
-        store = graph.to_sharded(tmp_path / "s", num_shards=2)
+        store = graph.to_sharded(tmp_path / "s")
         try:
             attached = ShardedCSR.open(tmp_path / "s")
             attached.close()
             assert (tmp_path / "s").exists()  # non-owner close never deletes
             with pytest.raises(ValueError):
-                attached.neighbors("user", 0)  # block reads refuse once closed
+                attached.neighbors("user", 0)  # reads refuse once closed
             attached.close()  # idempotent
         finally:
             store.destroy()
 
     def test_attached_handle_sees_same_data(self, tmp_path):
         graph = _world(seed=5, users=20, items=15, edges=90)
-        with graph.to_sharded(tmp_path / "s", num_shards=3) as store:
+        with graph.to_sharded(tmp_path / "s") as store:
             attached = ShardedCSR.open(tmp_path / "s")
             try:
                 assert attached.num_edges == store.num_edges
-                assert attached.partition == store.partition
                 _assert_same_graph(store.to_graph(), attached.to_graph())
             finally:
                 attached.close()
 
     def test_side_validation(self, tmp_path):
         graph = _world(users=10, items=8, edges=20)
-        with graph.to_sharded(tmp_path / "s", num_shards=2) as store:
+        with graph.to_sharded(tmp_path / "s") as store:
             with pytest.raises(ValueError):
                 store.degrees("query")
             with pytest.raises(ValueError):
                 store.neighbors("both", 0)
+
+
+class TestValidatedAtOpen:
+    """A store that disagrees with its manifest fails at ``open``, naming
+    the file, not at the first draw inside a worker."""
+
+    @pytest.fixture
+    def store_dir(self, tmp_path):
+        with _world(users=10, items=8, edges=20).to_sharded(tmp_path / "s") as store:
+            yield store.path
+
+    def test_truncated_indices_rejected(self, store_dir):
+        file = store_dir / "user.indices.bin"
+        file.write_bytes(file.read_bytes()[:-16])
+        with pytest.raises(ValueError, match="user.indices.bin"):
+            ShardedCSR.open(store_dir)
+
+    def test_decreasing_indptr_rejected(self, store_dir):
+        file = store_dir / "item.indptr.bin"
+        indptr = np.fromfile(file, dtype="<i8")
+        indptr[1], indptr[2] = indptr[2] + 1, indptr[1]
+        indptr.tofile(file)
+        with pytest.raises(ValueError, match="item.indptr.bin"):
+            ShardedCSR.open(store_dir)
+
+    def test_v1_manifest_rejected(self, store_dir):
+        file = store_dir / "manifest.json"
+        manifest = json.loads(file.read_text())
+        manifest["schema"] = "repro/sharded-csr/v1"
+        file.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="v1"):
+            ShardedCSR.open(store_dir)

@@ -7,7 +7,7 @@ whole tiles of one row count.  Tasks of ``batch_size`` rows are only
 scheduling.  Three promises follow, the first two at any worker count:
 
 1. ``embed_all(graph)`` at any ``batch_size``, ``embed_all(store)`` over
-   any shard count and ``StreamingEmbedder(model,
+   the graph's out-of-core store and ``StreamingEmbedder(model,
    sample_seed=model.sample_seed).full_embed(graph)`` give the same
    bytes.
 2. After an edge delta, a re-added-edge delta (edges the graph already
@@ -107,16 +107,12 @@ def _assert_same_bytes(got, want):
 
 @pytest.mark.parametrize("workers", WORKERS)
 @settings(max_examples=25, deadline=None)
-@given(
-    world=worlds(),
-    num_shards=st.sampled_from([1, 4, 17]),
-    other_batch_size=st.integers(1, 64),
-)
-@example(world=TAIL_WORLDS[0], num_shards=4, other_batch_size=64)
-@example(world=TAIL_WORLDS[1], num_shards=17, other_batch_size=3)
-@example(world=TAIL_WORLDS[2], num_shards=1, other_batch_size=40)
+@given(world=worlds(), other_batch_size=st.integers(1, 64))
+@example(world=TAIL_WORLDS[0], other_batch_size=64)
+@example(world=TAIL_WORLDS[1], other_batch_size=3)
+@example(world=TAIL_WORLDS[2], other_batch_size=40)
 def test_dense_sharded_and_streaming_passes_give_the_same_bytes(
-    workers, world, num_shards, other_batch_size
+    workers, world, other_batch_size
 ):
     graph, model, batch_size = world
     dense = model.embed_all(graph, batch_size=batch_size, workers=workers)
@@ -128,7 +124,7 @@ def test_dense_sharded_and_streaming_passes_give_the_same_bytes(
     ).full_embed(graph, workers=workers)
     _assert_same_bytes(streamed, dense)
     with tempfile.TemporaryDirectory() as tmp:
-        with graph.to_sharded(Path(tmp) / "s", num_shards=num_shards) as store:
+        with graph.to_sharded(Path(tmp) / "s") as store:
             sharded = model.embed_all(store, batch_size=batch_size, workers=workers)
             _assert_same_bytes(sharded, dense)
             del sharded
