@@ -19,14 +19,15 @@ equivalence tests check the library against them:
   sampler.
 * ``kmeans`` — per-point single-pass / mini-batch loops vs the chunked
   vectorised updates.
-* ``parallel`` — the pool-backed hot paths at ``workers=1`` vs
-  ``workers=N``.  A row is ``degraded`` when it asks for more workers
-  than the process's usable cores (its CPU affinity mask).
+* ``parallel`` — ``embed_all`` over a shard store, the one path the
+  worker pool serves, at ``workers=1`` vs ``workers=N``.  A row is
+  ``degraded`` when it asks for more workers than the process's usable
+  cores (its CPU affinity mask).
 * ``score_topk`` — eager full-table ``argsort`` vs the lazy top-k of
   :class:`ScoreTableRecommender`.
-* ``shard`` — dense in-memory inference vs the out-of-core sharded path
-  (``full`` mode adds a streamed million-vertex world, measured in
-  subprocess children so each side's peak RSS is its own).
+* ``shard`` — dense in-memory inference (in process) vs the out-of-core
+  sharded path (``full`` mode adds a streamed million-vertex world,
+  measured in subprocess children so each side's peak RSS is its own).
 * ``serving`` — uncached vs LRU-cached request replay, full re-embed vs
   delta refresh, per-impression vs per-slate serving day.
 
@@ -99,10 +100,11 @@ SCORE_SIZES: dict[str, list[tuple[int, int, int, int]]] = {
     "quick": [(400, 300, 10, 50)],
     "full": [(2000, 800, 10, 100)],
 }
-# (num_users, num_candidates, batch_users) for the parallel score-table row.
-PARALLEL_SCORE_SIZES: dict[str, tuple[int, int, int]] = {
-    "quick": (256, 48, 32),
-    "full": (1024, 96, 64),
+# Streamed-world spec of the parallel row (``full``: the e2ebench
+# embed-bulk world).
+PARALLEL_STORE_SIZES: dict[str, dict[str, Any]] = {
+    "quick": {"users": 4000, "items": 2500, "clusters": 24, "shards": 4, "degree": 6.0},
+    "full": {"users": 300_000, "items": 200_000, "clusters": 64, "shards": 4, "degree": 8.0},
 }
 # Streamed-world specs per ``shard`` row; ``subprocess`` rows measure
 # peak RSS in isolated children (and are the expensive part of ``full``).
@@ -437,108 +439,61 @@ def _bench_score_topk(mode: str, seed: int, repeats: int) -> list[dict[str, Any]
 def _bench_parallel(
     mode: str, seed: int, repeats: int, workers: int
 ) -> list[dict[str, Any]]:
-    """The pool-backed hot paths at ``workers=1`` vs ``workers=N``.
+    """``embed_all`` over a shard store at ``workers=1`` vs ``workers=N``.
 
-    Same seeded workload both times — the outputs are bitwise equal by
-    design, so the rows compare cost only.  Rows asking for more workers
-    than this process may run on (``os.sched_getaffinity``) are flagged
-    ``degraded``: the pool oversubscribes the cores, the timing follows
-    the scheduler, and :func:`check_report` skips the row.
+    The store pass is the one path that fans out over the worker pool
+    (every in-RAM path runs in process).  Same seeded store and model
+    both times — the outputs are bitwise equal by design, so the row
+    compares cost only.  A row asking for more workers than this process
+    may run on (``os.sched_getaffinity``) is flagged ``degraded``: the
+    pool oversubscribes the cores, the timing follows the scheduler, and
+    :func:`check_report` skips the row.
     """
-    from repro.clustering.kmeans import kmeans
-    from repro.prediction.cvr_model import CVRModel
-    from repro.prediction.features import FeatureAssembler
-    from repro.serving.pipeline import cvr_score_table
-    from repro.utils.config import KMeansConfig
+    import shutil
+    import tempfile
+
+    from repro.data.synthetic import StreamedWorldConfig, stream_world_to_shards
 
     usable = _usable_cores()
-    workers_effective = min(workers, usable)
-    degraded = workers > usable
-    rows = []
+    spec = PARALLEL_STORE_SIZES[mode]
+    dim = 16
+    cfg = StreamedWorldConfig(
+        num_users=spec["users"],
+        num_items=spec["items"],
+        num_clusters=spec["clusters"],
+        mean_degree=spec["degree"],
+        feature_dim=dim,
+    )
+    work = Path(tempfile.mkdtemp(prefix="repro-bench-parallel-"))
+    try:
+        with stream_world_to_shards(
+            work / "world", cfg, num_shards=spec["shards"], seed=seed
+        ) as store:
+            def embed(n: int) -> None:
+                _shard_model(dim, seed).embed_all(store, workers=n)
 
-    size = GRAPH_SIZES[mode][-1]
-    graph = _graph(size, feature_dim=8, seed=seed)
-    module = _sage_module(graph, seed)
-    serial = _best_of(
-        lambda: module.embed_all(graph, batch_size=256, workers=1), repeats
-    )
-    parallel = _best_of(
-        lambda: module.embed_all(graph, batch_size=256, workers=workers), repeats
-    )
-    rows.append(
+            serial = _best_of(lambda: embed(1), repeats)
+            parallel = _best_of(lambda: embed(workers), repeats)
+            graph = {
+                "num_users": store.num_users,
+                "num_items": store.num_items,
+                "num_edges": store.num_edges,
+            }
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return [
         {
-            "variant": "embed_all_layerwise",
-            "graph": _graph_meta(size),
+            "variant": "embed_all_store",
+            "graph": graph,
+            "num_shards": spec["shards"],
             "workers": workers,
-            "workers_effective": workers_effective,
-            "degraded": degraded,
+            "workers_effective": min(workers, usable),
+            "degraded": workers > usable,
             "before_s": round(serial, 6),
             "after_s": round(parallel, 6),
             "speedup": round(serial / parallel, 2),
         }
-    )
-
-    n, dim, k = KMEANS_SIZES[mode][-1]
-    points = ensure_rng(seed).normal(size=(n, dim))
-    cfg = KMeansConfig(algorithm="lloyd", n_init=4, max_iter=15)
-    serial = _best_of(
-        lambda: kmeans(points, k, cfg, rng=ensure_rng(seed), workers=1),
-        repeats,
-    )
-    parallel = _best_of(
-        lambda: kmeans(points, k, cfg, rng=ensure_rng(seed), workers=workers),
-        repeats,
-    )
-    rows.append(
-        {
-            "variant": "kmeans_restarts",
-            "n": n,
-            "dim": dim,
-            "k": k,
-            "n_init": cfg.n_init,
-            "workers": workers,
-            "workers_effective": workers_effective,
-            "degraded": degraded,
-            "before_s": round(serial, 6),
-            "after_s": round(parallel, 6),
-            "speedup": round(serial / parallel, 2),
-        }
-    )
-
-    num_users, n_cand, batch_users = PARALLEL_SCORE_SIZES[mode]
-    rng = ensure_rng(seed)
-    assembler = FeatureAssembler(
-        rng.normal(size=(num_users, 8)), rng.normal(size=(n_cand, 8))
-    )
-    model = CVRModel(assembler.feature_dim, hidden=(32, 16), rng=seed)
-    candidates = np.arange(n_cand, dtype=np.int64)
-    serial = _best_of(
-        lambda: cvr_score_table(
-            model, assembler, num_users, candidates, batch_users, workers=1
-        ),
-        repeats,
-    )
-    parallel = _best_of(
-        lambda: cvr_score_table(
-            model, assembler, num_users, candidates, batch_users, workers=workers
-        ),
-        repeats,
-    )
-    rows.append(
-        {
-            "variant": "cvr_score_table",
-            "n": num_users,
-            "candidates": n_cand,
-            "k": n_cand,
-            "workers": workers,
-            "workers_effective": workers_effective,
-            "degraded": degraded,
-            "before_s": round(serial, 6),
-            "after_s": round(parallel, 6),
-            "speedup": round(serial / parallel, 2),
-        }
-    )
-    return rows
+    ]
 
 
 def dense_footprint_mb(
@@ -613,7 +568,8 @@ def _run_shard_child(run_mode: str, spec: dict[str, Any], seed: int, workers: in
 def _bench_shard(
     mode: str, seed: int, repeats: int, workers: int
 ) -> list[dict[str, Any]]:
-    """Dense in-memory inference vs the out-of-core path, both at ``workers``.
+    """Dense in-memory inference (in process) vs the out-of-core path at
+    ``workers``.
 
     The smoke row runs in this process (same world via ``to_graph``, bitwise
     compared).  ``subprocess`` rows stream a million-vertex world and
@@ -630,7 +586,7 @@ def _bench_shard(
     for spec in SHARD_SIZES[mode]:
         if spec.get("subprocess"):
             sharded = _run_shard_child("sharded", spec, seed, workers)
-            dense = _run_shard_child("dense", spec, seed, workers)
+            dense = _run_shard_child("dense", spec, seed, 1)
             rows.append(
                 {
                     "variant": "streamed_world_out_of_core",
@@ -677,9 +633,7 @@ def _bench_shard(
             with store:
                 graph = store.to_graph()
                 before = _best_of(
-                    lambda: _shard_model(dim, seed).embed_all(
-                        graph, batch_size=1024, workers=workers
-                    ),
+                    lambda: _shard_model(dim, seed).embed_all(graph, batch_size=1024),
                     repeats,
                 )
                 after = _best_of(
@@ -879,7 +833,8 @@ def bench_hotpaths(
     ``mode`` selects the workload grid (``quick`` for CI smoke, ``full``
     for the tracked record); ``seed`` fixes every workload so runs are
     comparable; ``repeats`` takes the best of N timings; ``workers`` is
-    the pool size the ``parallel`` section compares against serial.
+    the pool size of the store-backed embeds (the ``parallel`` section
+    compares it against serial).
     """
     if mode not in GRAPH_SIZES:
         raise ValueError(f"unknown bench mode {mode!r} (use 'quick' or 'full')")
@@ -1144,9 +1099,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes of the parallel and shard rows (the parallel "
-        "section compares 1 against N; 4 when N is 1); every other row runs "
-        "in-process",
+        help="worker processes of the store-backed embeds of the parallel and "
+        "shard rows (the parallel section compares 1 against N; 4 when N is "
+        "1); every other row runs in-process",
     )
     parser.add_argument(
         "--check",

@@ -74,7 +74,7 @@ def test_hotpath_bench_writes_report(report, tmp_path):
     for row in benches["weighted_sampling"]:
         assert row["samples_per_sec"] > 0
 
-    # The parallel rows ran the pool-backed paths at workers=2.
+    # The parallel row ran the store-backed embed at workers=2.
     for row in benches["parallel"]:
         assert row["workers"] == 2
 

@@ -21,16 +21,15 @@ import numpy as np
 
 from repro.obs import span
 from repro.obs.metrics import counter_add
-from repro.parallel import as_ndarray, get_pool, shared_arrays
 from repro.utils.config import KMeansConfig
 from repro.utils.rng import clone_rng, derive_rng, ensure_rng
 
 __all__ = ["KMeansResult", "kmeans", "kmeans_plus_plus", "assign_to_centers"]
 
 # Assignment passes over fewer points than this stay one-shot; larger
-# ones are split into fixed 2048-point chunks.  Both constants depend
-# only on n — never on the worker count — so serial and parallel runs
-# execute the same per-chunk computations and stay bitwise equal.
+# ones are split into fixed 2048-point chunks (bounding the distance
+# matrix).  Both constants depend only on n, so every run executes the
+# same per-chunk computations.
 _ASSIGN_MIN_N = 4096
 _ASSIGN_CHUNK = 2048
 
@@ -66,7 +65,6 @@ def kmeans(
     n_clusters: int,
     config: KMeansConfig | None = None,
     rng: int | np.random.Generator | None = None,
-    workers: int = 1,
 ) -> KMeansResult:
     """Cluster ``points`` into ``n_clusters`` groups.
 
@@ -74,11 +72,10 @@ def kmeans(
     and keeps the lowest-inertia result.  ``n_clusters`` is clamped to
     the number of distinct points.
 
-    ``workers`` is the pool size (1: in-process).  With ``n_init > 1``
-    the restarts run concurrently, each on its own pre-derived RNG
-    stream; the first restart clones the caller's generator so ``n_init=1`` results are reproduced exactly.  Large
-    assignment passes are additionally chunked.  Results are bitwise
-    identical for every worker count given the same seed.
+    With ``n_init > 1`` each restart runs on its own pre-derived RNG
+    stream; the first restart clones the caller's generator so
+    ``n_init=1`` results are reproduced exactly.  Large assignment
+    passes are chunked.
     """
     config = config or KMeansConfig()
     rng = ensure_rng(rng)
@@ -90,11 +87,10 @@ def kmeans(
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
     n_clusters = _clamp_to_distinct(points, n_clusters)
-    pool = get_pool(workers)
     n_init = max(1, config.n_init)
     # Restart 0 clones the caller's generator (bit-identical to the
-    # single-restart path); the rest get streams derived in the parent,
-    # so every restart's stream is fixed before any fan-out.
+    # single-restart path); the rest get streams derived up front, so
+    # every restart's stream is fixed before any restart runs.
     if n_init == 1:
         rngs = [rng]
     else:
@@ -107,24 +103,12 @@ def kmeans(
         k=n_clusters,
         n_init=n_init,
     ) as kspan:
-        tasks = list(enumerate(rngs))
-        if pool.parallel and len(tasks) > 1:
-            with shared_arrays(pool, points) as (points_h,):
-                results = pool.map(
-                    _restart_task,
-                    tasks,
-                    context=(points_h, n_clusters, config, None),
-                    label="kmeans.restart",
-                )
-        else:
-            results = [
-                _restart_task(task, (points, n_clusters, config, pool))
-                for task in tasks
-            ]
-        if not results:
-            raise RuntimeError("k-means fan-out returned no restart results")
+        results = [
+            _restart_task(task, (points, n_clusters, config))
+            for task in enumerate(rngs)
+        ]
         best = results[0]
-        for result in results[1:]:  # submission order -> deterministic ties
+        for result in results[1:]:  # restart order -> deterministic ties
             if result.inertia < best.inertia:
                 best = result
         counter_add("kmeans.runs", 1)
@@ -134,16 +118,15 @@ def kmeans(
 
 
 def _restart_task(task: tuple, context: tuple) -> KMeansResult:
-    """One k-means restart (module-level so workers can run it)."""
+    """One k-means restart: ``task`` is ``(index, rng)``."""
     _, rng = task
-    points_h, n_clusters, config, pool = context
-    points = as_ndarray(points_h)
+    points, n_clusters, config = context
     if config.algorithm == "lloyd":
-        result = _lloyd(points, n_clusters, config, rng, pool)
+        result = _lloyd(points, n_clusters, config, rng)
     elif config.algorithm == "minibatch":
-        result = _minibatch(points, n_clusters, config, rng, pool)
+        result = _minibatch(points, n_clusters, config, rng)
     else:
-        result = _single_pass(points, n_clusters, rng, config.chunk_size, pool)
+        result = _single_pass(points, n_clusters, rng, config.chunk_size)
     counter_add("kmeans.iterations", result.n_iter)
     return result
 
@@ -188,12 +171,8 @@ def kmeans_plus_plus(
     return centers
 
 
-def _assign_chunk(task: tuple, context: tuple) -> tuple[np.ndarray, float]:
-    """Assign one fixed-bounds chunk of points to its nearest centres."""
-    start, stop = task
-    points_h, centers_h = context
-    chunk = as_ndarray(points_h)[start:stop]
-    centers = as_ndarray(centers_h)
+def _assign_chunk(chunk: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
+    """Assign one chunk of points to its nearest centres."""
     dists = _pairwise_sq_dists(chunk, centers)
     labels = dists.argmin(axis=1)
     inertia = float(dists[np.arange(len(chunk)), labels].sum())
@@ -201,33 +180,22 @@ def _assign_chunk(task: tuple, context: tuple) -> tuple[np.ndarray, float]:
 
 
 def assign_to_centers(
-    points: np.ndarray, centers: np.ndarray, pool=None
+    points: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Nearest-centre labels and the resulting inertia.
 
     Small inputs are assigned in one shot.  From ``_ASSIGN_MIN_N``
     points the pass is split into fixed chunks (boundaries depend only
-    on ``len(points)``) which fan out over ``pool`` when it is parallel;
-    labels and the chunk-inertia sum are reduced in chunk order either
-    way, so the result never depends on the worker count.
+    on ``len(points)``); labels and the chunk-inertia sum are reduced in
+    chunk order.
     """
     n = len(points)
     if n < _ASSIGN_MIN_N:
-        dists = _pairwise_sq_dists(points, centers)
-        labels = dists.argmin(axis=1)
-        inertia = float(dists[np.arange(n), labels].sum())
-        return labels, inertia
-    tasks = [(start, min(start + _ASSIGN_CHUNK, n)) for start in range(0, n, _ASSIGN_CHUNK)]
-    if pool is not None and pool.parallel:
-        with shared_arrays(pool, points, centers) as (points_h, centers_h):
-            parts = pool.map(
-                _assign_chunk,
-                tasks,
-                context=(points_h, centers_h),
-                label="kmeans.assign_chunk",
-            )
-    else:
-        parts = [_assign_chunk(task, (points, centers)) for task in tasks]
+        return _assign_chunk(points, centers)
+    parts = [
+        _assign_chunk(points[start : start + _ASSIGN_CHUNK], centers)
+        for start in range(0, n, _ASSIGN_CHUNK)
+    ]
     labels = np.concatenate([part[0] for part in parts])
     inertia = float(sum(part[1] for part in parts))
     return labels, inertia
@@ -238,13 +206,12 @@ def _lloyd(
     n_clusters: int,
     config: KMeansConfig,
     rng: np.random.Generator,
-    pool=None,
 ) -> KMeansResult:
     centers = kmeans_plus_plus(points, n_clusters, rng)
-    labels, inertia = assign_to_centers(points, centers, pool)
+    labels, inertia = assign_to_centers(points, centers)
     for iteration in range(1, config.max_iter + 1):
         centers = _recompute_centers(points, labels, centers, rng)
-        new_labels, new_inertia = assign_to_centers(points, centers, pool)
+        new_labels, new_inertia = assign_to_centers(points, centers)
         counter_add("kmeans.reassignments", int((new_labels != labels).sum()))
         labels = new_labels
         if abs(inertia - new_inertia) <= config.tol * max(inertia, 1e-12):
@@ -283,7 +250,6 @@ def _minibatch(
     n_clusters: int,
     config: KMeansConfig,
     rng: np.random.Generator,
-    pool=None,
 ) -> KMeansResult:
     centers = kmeans_plus_plus(points, n_clusters, rng)
     counts = np.zeros(n_clusters)
@@ -293,7 +259,7 @@ def _minibatch(
         batch = points[batch_idx]
         labels, _ = assign_to_centers(batch, centers)
         _running_mean_update(centers, counts, batch, labels)
-    labels, inertia = assign_to_centers(points, centers, pool)
+    labels, inertia = assign_to_centers(points, centers)
     return KMeansResult(centers=centers, labels=labels, inertia=inertia, n_iter=n_batches)
 
 
@@ -302,7 +268,6 @@ def _single_pass(
     n_clusters: int,
     rng: np.random.Generator,
     chunk_size: int = 256,
-    pool=None,
 ) -> KMeansResult:
     """Single-pass K-means (Section III-D) with chunked assignment.
 
@@ -320,7 +285,7 @@ def _single_pass(
         chunk = points[order[start : start + max(1, chunk_size)]]
         labels, _ = assign_to_centers(chunk, centers)
         _running_mean_update(centers, counts, chunk, labels)
-    labels, inertia = assign_to_centers(points, centers, pool)
+    labels, inertia = assign_to_centers(points, centers)
     return KMeansResult(centers=centers, labels=labels, inertia=inertia, n_iter=1)
 
 

@@ -39,7 +39,8 @@ or a ``ShardedCSR`` store, with :func:`_sage_step` outside autograd.
 Tasks of ``batch_size`` rows are only scheduling, so a graph and its
 shard store, any worker count, any ``batch_size`` and a delta refresh
 of a subset of rows all give the same bytes.  Step matrices live in RAM
-for graphs and in memory-mapped files for stores.
+for graphs (one process) and in memory-mapped files for stores, whose
+tasks alone fan out over worker processes.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.obs import span
 from repro.obs.metrics import counter_add, observe
 from repro.obs.monitor import heartbeat
 from repro.nn.tensor import Tensor, concat, no_grad, where
-from repro.parallel import as_ndarray, get_pool, shared_arrays
+from repro.parallel import get_pool
 from repro.shard.storage import MappedMatrix, allocate_block, open_block
 from repro.utils.config import SageConfig
 from repro.utils.rng import counter_uniforms, ensure_rng
@@ -138,11 +139,10 @@ _OTHER = {"user": "item", "item": "user"}
 
 
 def _matrix(handle) -> np.ndarray:
-    """A step matrix from its handle: an ndarray, a shared-memory
-    handle, or a :class:`MappedMatrix`."""
+    """A step matrix from its handle: an ndarray or a :class:`MappedMatrix`."""
     if isinstance(handle, MappedMatrix):
         return handle.array
-    return as_ndarray(handle)
+    return handle
 
 
 def _tiled_matmul(a: Tensor, w: Tensor | np.ndarray) -> Tensor:
@@ -393,14 +393,21 @@ class BipartiteGraphSAGE(Module):
         read-only memmaps come back and stay valid across later calls).
         Neighbours come from the per-vertex counter hash rooted at
         :attr:`sample_seed`, so a graph and its store give the same
-        bytes at any ``workers`` (pool size; 1 runs in-process) and
-        any ``batch_size`` (rows per worker task) — the bytes of
+        bytes at any ``batch_size`` (rows per task) — the bytes of
         ``StreamingEmbedder(self, sample_seed=self.sample_seed)
-        .full_embed(graph)``.  ``mode`` only accepts ``"layerwise"``.
+        .full_embed(graph)`` — and a store gives them at any
+        ``workers`` (pool size; 1 runs in-process).  A graph runs in
+        process: ``workers > 1`` over a graph raises ``ValueError``.
+        ``mode`` only accepts ``"layerwise"``.
         """
         if mode != "layerwise":
             raise ValueError(f"unknown embed_all mode {mode!r}; only 'layerwise' exists")
         on_disk = not isinstance(source, BipartiteGraph)
+        if workers > 1 and not on_disk:
+            raise ValueError(
+                f"parallel embedding needs a ShardedCSR store (got a graph and "
+                f"workers={workers}); embed a graph with workers=1"
+            )
         pool = get_pool(workers)
         self.eval()
         with span(
@@ -478,47 +485,43 @@ class BipartiteGraphSAGE(Module):
         when the graph grew — new tail rows are always listed).  With
         ``out`` (per-side writable :class:`MappedMatrix`; ``prev`` then
         maps files too) the tasks write their rows to disk and ``out``
-        comes back.  Otherwise the matrices stay in RAM, shared with
-        workers for the map.
+        comes back; only such passes may use a parallel ``pool``.
+        Otherwise the matrices stay in RAM.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         cfg = self.config
         fanout = cfg.neighbor_samples[cfg.num_steps - step]
         new = {}
-        # Mapped files already travel by path; only RAM matrices are shared.
-        sharing = pool if out is None else None
-        with shared_arrays(sharing, prev["user"], prev["item"]) as shared:
-            handles = dict(zip(_SIDES, shared))
-            for side in _SIDES:
-                n = source.num_users if side == "user" else source.num_items
-                plan = _chunk_plan(n, batch_size, None if rows is None else rows[side])
-                if cached is not None and not plan:
-                    new[side] = cached[side]  # nothing affected: shape unchanged
-                    continue
-                params = self._step_params(step, side)  # arrays travel, not Parameters
-                context = (
-                    source,
-                    side,
-                    handles[side],
-                    handles[_OTHER[side]],
-                    None if out is None else out[side],
-                    sample_seed,
-                    step,
-                    fanout,
-                    {k: getattr(v, "data", v) for k, v in params.items()},
-                )
-                blocks = pool.map(
-                    _chunk_task, plan, context=context, label="sage.layerwise_chunk"
-                )
-                if out is not None:
-                    new[side] = out[side]
-                    continue
-                new[side] = np.empty((n, cfg.embedding_dim), dtype=np.float64)
-                if cached is not None:
-                    new[side][: len(cached[side])] = cached[side]
-                for pick, block in zip(plan, blocks):
-                    new[side][pick] = block
+        for side in _SIDES:
+            n = source.num_users if side == "user" else source.num_items
+            plan = _chunk_plan(n, batch_size, None if rows is None else rows[side])
+            if cached is not None and not plan:
+                new[side] = cached[side]  # nothing affected: shape unchanged
+                continue
+            params = self._step_params(step, side)  # arrays travel, not Parameters
+            context = (
+                source,
+                side,
+                prev[side],
+                prev[_OTHER[side]],
+                None if out is None else out[side],
+                sample_seed,
+                step,
+                fanout,
+                {k: getattr(v, "data", v) for k, v in params.items()},
+            )
+            blocks = pool.map(
+                _chunk_task, plan, context=context, label="sage.layerwise_chunk"
+            )
+            if out is not None:
+                new[side] = out[side]
+                continue
+            new[side] = np.empty((n, cfg.embedding_dim), dtype=np.float64)
+            if cached is not None:
+                new[side][: len(cached[side])] = cached[side]
+            for pick, block in zip(plan, blocks):
+                new[side][pick] = block
         heartbeat("sage.layerwise", step, cfg.num_steps)
         return new
 

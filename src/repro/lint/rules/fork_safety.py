@@ -3,8 +3,8 @@
 The parallel layer's contract (see :mod:`repro.parallel.pool`): task
 callables must be module-level (workers import them by reference),
 worker task functions must not write process-global state (the write
-lands in the forked copy and is silently lost), and shared-memory
-segments must have an owner with a guaranteed cleanup path.
+lands in the forked copy and is silently lost), and memory maps must
+have an owner with a deterministic release.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.context import ModuleContext, dotted_name
+from repro.lint.context import ModuleContext
 from repro.lint.findings import Severity
 from repro.lint.registry import rule
 
@@ -92,36 +92,6 @@ def check_task_global_mutation(
                         f"{root.id!r}; the mutation stays in the worker — "
                         "return the value instead"
                     )
-
-
-@rule(
-    code="RPR203",
-    name="unowned-shared-segment",
-    severity=Severity.WARNING,
-    family="fork-safety",
-    description=(
-        "SharedMatrix segments need an owner with a cleanup path; create "
-        "them through the shared_arrays() context manager"
-    ),
-    nodes=(ast.Call,),
-)
-def check_shared_matrix_lifecycle(
-    node: ast.Call, ctx: ModuleContext
-) -> Iterator[tuple[ast.AST, str]]:
-    name = dotted_name(node.func)
-    if name is None:
-        return
-    parts = name.split(".")
-    is_ctor = parts[-1] == "SharedMatrix"
-    is_factory = len(parts) >= 2 and parts[-2] == "SharedMatrix" and parts[-1] == "from_array"
-    if not (is_ctor or is_factory):
-        return
-    if ctx.in_with_item(node):
-        return
-    yield node, (
-        f"{name}() outside a with-block leaks the segment on error paths; "
-        "use shared_arrays(pool, ...) or guarantee destroy() in a finally"
-    )
 
 
 _MEMMAP_CTORS = {"numpy.memmap", "numpy.lib.format.open_memmap"}

@@ -1,11 +1,9 @@
-"""Deterministic multi-process execution for the hot paths.
+"""Deterministic multi-process execution for out-of-core embedding.
 
-Public surface:
-
-* :class:`WorkerPool` / :func:`get_pool` / :func:`configure` — lazily
-  started fork pools with an in-process fallback at ``workers<=1``.
-* :class:`SharedMatrix` / :func:`shared_arrays` — zero-copy broadcast of
-  large read-only ndarrays to workers via POSIX shared memory.
+Public surface: :class:`WorkerPool` / :func:`get_pool` /
+:func:`configure` — lazily started fork pools with an in-process
+fallback at ``workers<=1``.  The one caller that fans out is the
+layer-wise pass of ``embed_all`` over a ``ShardedCSR`` store.
 
 Design contract: any result computed through this package is bitwise
 identical for every worker count, given the same seed.
@@ -18,12 +16,6 @@ from repro.parallel.pool import (
     get_pool,
     shutdown_pools,
 )
-from repro.parallel.shared import (
-    SharedMatrix,
-    active_segment_names,
-    as_ndarray,
-    shared_arrays,
-)
 
 __all__ = [
     "ParallelConfig",
@@ -31,8 +23,4 @@ __all__ = [
     "configure",
     "get_pool",
     "shutdown_pools",
-    "SharedMatrix",
-    "active_segment_names",
-    "as_ndarray",
-    "shared_arrays",
 ]

@@ -1,5 +1,9 @@
 """Fork-safe worker pools with deterministic fan-out.
 
+One caller fans out: the layer-wise pass of ``embed_all`` over a
+``ShardedCSR`` store, whose tasks read and write memory-mapped files and
+so ship only paths and chunk bounds.  Every in-RAM path runs in process.
+
 The execution model keeps parallel results bitwise-equal to serial ones
 by construction:
 
@@ -10,12 +14,14 @@ by construction:
   the pool, and always returns results in submission order, so reduction
   order never depends on scheduling.
 
-A pool with ``workers<=1`` never spawns anything — tier-1 tests and
-small graphs pay one ``if`` per map.  Real pools are created lazily on
-first parallel map, are re-created if the handle crosses a ``fork()``
-(the inherited pool state is unusable in the child), and degrade to the
-in-process path with a warning when the platform cannot provide worker
-processes at all.
+A pool with ``workers<=1`` never spawns anything.  Real pools are a
+``concurrent.futures.ProcessPoolExecutor`` (fork context), created
+lazily on first parallel map, re-created if the handle crosses a
+``fork()`` (the inherited executor is unusable in the child), and
+degraded to the in-process path with a warning when the platform cannot
+provide worker processes at all.  A worker that dies mid-map fails the
+map at once with a :class:`RuntimeError`; the broken executor is
+dropped and the next map starts a fresh one.
 
 Observability composes: when a tracer/metrics registry is active in the
 parent, each worker task runs under a fresh registry+tracer whose
@@ -23,27 +29,27 @@ counters, histograms and span trees are carried back with the result and
 merged into the parent session when the map joins — ``--trace`` output
 stays complete under ``--workers N``.
 
-Large read-only inputs travel through :mod:`repro.parallel.shared`
-segments; the per-map ``context`` object (weights, centres, models) is
-pickled once and broadcast — through shared memory when it is big —
-instead of being serialised per task.
+The per-map ``context`` object (weights, paths) is pickled once and
+broadcast — through a shared-memory blob when it is big — instead of
+being serialised per task.
 """
 
 from __future__ import annotations
 
 import atexit
+import concurrent.futures
 import logging
 import multiprocessing as mp
 import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Iterable
 
 from repro.obs.metrics import current_registry, metrics_enabled
 from repro.obs.monitor import current_monitor
 from repro.obs.trace import current_tracer, span, tracing_enabled
-from repro.parallel.shared import attach_untracked
 
 __all__ = [
     "ParallelConfig",
@@ -58,6 +64,26 @@ logger = logging.getLogger("repro.parallel")
 # Context payloads up to this size ride along inside each task message;
 # larger ones are broadcast once through a shared-memory blob.
 _INLINE_CONTEXT_BYTES = 65536
+
+
+def attach_untracked(name: str) -> shared_memory.SharedMemory:
+    """Attach to an existing segment without resource-tracker tracking.
+
+    Only the parent that created a context blob may clean it up; before
+    Python 3.13's ``track=False`` the sole way to keep an attaching
+    worker (and the tracker all forked workers share) out of the blob's
+    lifecycle is to suppress the registration call itself.
+    Unregistering *after* attach is not enough: the tracker's name cache
+    is a set, so several workers attaching the same blob would dedupe
+    their registrations but still send one remove each, crashing the
+    tracker with KeyErrors.
+    """
+    original = resource_tracker.register
+    resource_tracker.register = lambda *args, **kwargs: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = original
 
 
 @dataclass
@@ -204,13 +230,13 @@ class WorkerPool:
     """A lazily started process pool with an in-process serial mode.
 
     ``workers<=1`` (the default everywhere) executes maps inline in the
-    caller — no processes, no pickling, no shared memory.  ``workers>1``
-    forks a ``multiprocessing.Pool`` on first use and keeps it warm.
+    caller — no processes, no pickling.  ``workers>1`` forks a
+    ``ProcessPoolExecutor`` on first use and keeps it warm.
     """
 
     def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
-        self._pool: mp.pool.Pool | None = None
+        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         self._owner_pid: int | None = None
         self._broken = False
         self._ctx_counter = 0
@@ -221,33 +247,38 @@ class WorkerPool:
         return self.workers > 1 and not self._broken
 
     # -- lifecycle -----------------------------------------------------
-    def _ensure_pool(self) -> mp.pool.Pool | None:
+    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor | None:
         if self._pool is not None and self._owner_pid == os.getpid():
             return self._pool
-        if self._pool is not None:
-            # This handle crossed a fork(); the inherited pool machinery
-            # belongs to the parent and must not be touched here.
-            self._pool = None
+        # A handle that crossed a fork() must not touch the parent's
+        # executor machinery; start a fresh one here.
+        self._pool = None
         try:
             # fork where available: workers start cheaply and inherit imports.
             ctx = mp.get_context("fork" if hasattr(os, "fork") else None)
-            self._pool = ctx.Pool(self.workers, initializer=_worker_init)
+            self._pool = concurrent.futures.ProcessPoolExecutor(
+                self.workers, mp_context=ctx, initializer=_worker_init
+            )
         except (OSError, ValueError) as exc:  # e.g. no /dev/shm semaphores
             self._broken = True
-            self._pool = None
             logger.warning("worker pool unavailable (%s); running in-process", exc)
             return None
         self._owner_pid = os.getpid()
         return self._pool
 
     def shutdown(self) -> None:
-        """Terminate workers and release pool resources (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is None or self._owner_pid != os.getpid():
+        """Kill the workers and release the executor (idempotent).
+
+        Workers are terminated, not drained, so a hung or half-finished
+        map cannot keep a process alive past its pool.
+        """
+        executor, self._pool = self._pool, None
+        if executor is None or self._owner_pid != os.getpid():
             return
+        for process in list((getattr(executor, "_processes", None) or {}).values()):
+            process.terminate()
         try:
-            pool.terminate()
-            pool.join()
+            executor.shutdown(wait=True, cancel_futures=True)
         except Exception:  # pragma: no cover - interpreter teardown races
             pass
 
@@ -271,8 +302,9 @@ class WorkerPool:
         ``fn`` must be a module-level callable (workers import it by
         reference).  ``context`` is broadcast once per map; ``timeout``
         (seconds, default :attr:`ParallelConfig.map_timeout_s`) bounds
-        the whole map and raises :class:`TimeoutError` on a hung pool,
-        after terminating it so the next map starts fresh.
+        the whole map and raises :class:`TimeoutError` on a hung pool.
+        A worker that dies raises :class:`RuntimeError` naming the map.
+        Either way the executor is killed, so the next map starts fresh.
         """
         tasks = list(tasks)
         if not tasks:
@@ -280,8 +312,8 @@ class WorkerPool:
         name = label or getattr(fn, "__name__", "task")
         if not self.parallel:
             return self._map_inline(fn, tasks, context, name)
-        pool = self._ensure_pool()
-        if pool is None:
+        executor = self._ensure_pool()
+        if executor is None:
             return self._map_inline(fn, tasks, context, name)
         if timeout is None:
             timeout = _CONFIG.map_timeout_s
@@ -294,15 +326,23 @@ class WorkerPool:
         payloads = [
             (fn, task, ctx_ref, obs_on, monitor_interval, name) for task in tasks
         ]
+        # Pool.map's batching: about four chunks per worker, so the
+        # per-task messages do not grow with the task count.
+        chunksize, extra = divmod(len(payloads), self.workers * 4)
+        where = f"parallel map {name!r} ({len(tasks)} tasks, {self.workers} workers)"
         with span("parallel.map", label=name, tasks=len(tasks), workers=self.workers):
             try:
-                raw = pool.map_async(_run_task, payloads).get(timeout)
-            except mp.TimeoutError:
+                raw = list(
+                    executor.map(
+                        _run_task, payloads, timeout=timeout, chunksize=chunksize + bool(extra)
+                    )
+                )
+            except concurrent.futures.TimeoutError:
                 self.shutdown()
-                raise TimeoutError(
-                    f"parallel map {name!r} ({len(tasks)} tasks, "
-                    f"{self.workers} workers) timed out after {timeout}s"
-                ) from None
+                raise TimeoutError(f"{where} timed out after {timeout}s") from None
+            except BrokenProcessPool as exc:
+                self.shutdown()
+                raise RuntimeError(f"{where}: a worker process died") from exc
             finally:
                 ctx_cleanup()
             results = []

@@ -19,10 +19,10 @@ sizes, and each ``indptr`` running from 0 to the edge count without
 decreasing), so a truncated or corrupt store fails when it is opened,
 not at the first draw inside a worker.
 
-Lifecycle mirrors :class:`~repro.parallel.shared.SharedMatrix`: the
-process that creates a store directory is the **owner** and is the only
-one whose :meth:`ShardedCSR.destroy` removes the files; ``open()``
-attaches read-only and ``close()`` merely drops the mappings.  Owner
+Lifecycle: the process that creates a store directory is the
+**owner** and is the only one whose :meth:`ShardedCSR.destroy` removes
+the files; ``open()`` attaches read-only and ``close()`` merely drops
+the mappings.  Owner
 directories are tracked in a module registry (:func:`active_shard_dirs`)
 so tests and the benchmark harness can sweep strays.
 
@@ -119,10 +119,9 @@ def allocate_block(path: str | Path, dtype: np.dtype, shape: tuple[int, ...]) ->
 class MappedMatrix:
     """A float64 matrix file, mapped once per process that holds it.
 
-    Pickles to its ``(path, shape, mode)`` — as
-    :class:`~repro.parallel.SharedMatrix` pickles to its name — and the
-    receiver maps the same file, so workers read and write the parent's
-    on-disk step matrices without copies.
+    Pickles to its ``(path, shape, mode)`` and the receiver maps the
+    same file, so workers read and write the parent's on-disk step
+    matrices without copies.
     """
 
     def __init__(
@@ -149,8 +148,7 @@ class ShardedCSR:
     Build with :meth:`from_graph` (owner, from an in-memory graph),
     :class:`ShardedCSRBuilder` (owner, streamed), or :meth:`open`
     (attach).  As a context manager an owner destroys its directory on
-    exit and an attached handle merely closes — the same owner/attach
-    split :class:`~repro.parallel.shared.SharedMatrix` uses.
+    exit and an attached handle merely closes.
     """
 
     def __init__(self, path: Path, manifest: dict, owner: bool) -> None:
@@ -341,8 +339,8 @@ class ShardedCSR:
         shutil.rmtree(self.path, ignore_errors=True)
 
     def __reduce__(self):
-        # Travels as its path, the way SharedMatrix travels as its name:
-        # the receiver attaches its own (non-owner) handle.
+        # Travels as its path: the receiver attaches its own
+        # (non-owner) handle.
         return (ShardedCSR.open, (str(self.path),))
 
     def __enter__(self) -> "ShardedCSR":

@@ -31,7 +31,7 @@ from repro.obs import span
 from repro.obs.metrics import counter_add, observe
 from repro.streaming.incremental import IncrementalBipartiteGraph
 from repro.streaming.lru import LRUCache
-from repro.streaming.refresh import RefreshStats, StreamingEmbedder
+from repro.streaming.refresh import RefreshStats, StreamingEmbedder, _check_in_process
 
 __all__ = ["ServingFrontend"]
 
@@ -99,19 +99,25 @@ class ServingFrontend:
     # Embedding lifecycle
     # ------------------------------------------------------------------
     def warm(self, workers: int = 1) -> None:
-        """Full embedding pass; must run once before serving."""
+        """Full embedding pass, in process; must run once before serving.
+
+        ``workers`` only accepts 1; it is kept for callers that still
+        pass it.
+        """
         self.embedder.full_embed(self.graph.graph, workers=workers)
         self.graph.clear_dirty()
         self._adopt_embeddings()
 
     def refresh(self, workers: int = 1) -> RefreshStats:
-        """Delta-refresh embeddings and invalidate stale slates.
+        """Delta-refresh embeddings, in process, and invalidate stale slates.
 
         Any recomputed row can reorder any slate (scores are inner
         products against the candidate matrix), so the slate cache is
-        cleared whenever the refresh changed anything.
+        cleared whenever the refresh changed anything.  ``workers`` only
+        accepts 1, as in :meth:`warm`.
         """
-        self.embedder.refresh(self.graph, workers=workers)
+        _check_in_process(workers)
+        self.embedder.refresh(self.graph)
         stats = self.embedder.last_stats
         if stats.rows_recomputed:
             self._slates.clear()

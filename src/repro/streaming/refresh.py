@@ -24,8 +24,11 @@ close):
    :func:`repro.core.sage._chunk_kernel` runs every matmul over whole
    zero-padded tiles of a fixed row count; at a fixed count a row's
    bytes do not depend on the other rows of its call.  The recomputed
-   rows are therefore the bytes a full pass gives them, at any worker
-   count and any ``batch_size``.
+   rows are therefore the bytes a full pass gives them, at any
+   ``batch_size``.
+
+Both passes run in process: the cached matrices live in RAM, and
+shipping them to worker processes costs more than it saves.
 
 The affected set is propagated conservatively: a row is affected at step
 ``p`` if it is new, its adjacency changed (dirty), it was affected at
@@ -53,6 +56,15 @@ from repro.streaming.incremental import IncrementalBipartiteGraph
 __all__ = ["RefreshStats", "StreamingEmbedder"]
 
 _SIDES = ("user", "item")
+
+
+def _check_in_process(workers: int) -> None:
+    """Reject a worker count: streaming passes run in process."""
+    if workers != 1:
+        raise ValueError(
+            f"streaming passes run in process (got workers={workers}); "
+            "parallel embedding needs a ShardedCSR store"
+        )
 
 
 @dataclass(frozen=True)
@@ -86,8 +98,8 @@ class StreamingEmbedder:
         at ``model.sample_seed`` they are the bytes of
         ``model.embed_all``.
     batch_size:
-        Rows per worker task of the layer-wise passes; does not change
-        the output.
+        Rows per task of the layer-wise passes; does not change the
+        output.
     degrade_threshold:
         Fall back to a full pass when the affected-row fraction exceeds
         this value.
@@ -121,9 +133,10 @@ class StreamingEmbedder:
         """Embed every vertex, caching all per-step matrices.
 
         The computation of ``model.embed_all(graph)`` with this
-        embedder's ``sample_seed``.
+        embedder's ``sample_seed``, in process.  ``workers`` only
+        accepts 1; it is kept for callers that still pass it.
         """
-        pool = get_pool(workers)
+        _check_in_process(workers)
         model = self.model
         with span(
             "streaming.full_embed",
@@ -134,7 +147,7 @@ class StreamingEmbedder:
             for step in range(1, model.config.num_steps + 1):
                 h.append(
                     model._layerwise_pass(
-                        graph, h[-1], step, self.batch_size, pool, self.sample_seed
+                        graph, h[-1], step, self.batch_size, get_pool(), self.sample_seed
                     )
                 )
         self._h = h
@@ -157,7 +170,6 @@ class StreamingEmbedder:
         graph: BipartiteGraph | IncrementalBipartiteGraph,
         dirty_users: np.ndarray | None = None,
         dirty_items: np.ndarray | None = None,
-        workers: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bring the cached embeddings up to date with a mutated graph.
 
@@ -187,7 +199,7 @@ class StreamingEmbedder:
         ):
             if inc is not None:
                 graph = inc.graph  # the fold: a streaming.fold span
-            mode, degraded, rows = self._refresh(graph, dirty_users, dirty_items, workers)
+            mode, degraded, rows = self._refresh(graph, dirty_users, dirty_items)
         self.last_stats = RefreshStats(
             mode=mode,
             degraded=degraded,
@@ -208,7 +220,6 @@ class StreamingEmbedder:
         graph: BipartiteGraph,
         dirty_users: np.ndarray,
         dirty_items: np.ndarray,
-        workers: int,
     ) -> tuple[str, bool, int]:
         """Update the cache; returns ``(mode, degraded, rows_recomputed)``."""
         nu, ni = graph.num_users, graph.num_items
@@ -216,7 +227,7 @@ class StreamingEmbedder:
         rows_total = (nu + ni) * steps
         if self._h is None:
             # Cold start: nothing cached, a full pass is the refresh.
-            self.full_embed(graph, workers)
+            self.full_embed(graph)
             return "full", False, rows_total
         old_nu, old_ni = self._shape
         if nu < old_nu or ni < old_ni:
@@ -252,13 +263,12 @@ class StreamingEmbedder:
         fraction = rows_recomputed / rows_total if rows_total else 0.0
         if fraction > self.degrade_threshold:
             counter_add("streaming.degradations", 1)
-            self.full_embed(graph, workers)
+            self.full_embed(graph)
             return "full", True, rows_total
 
         # Delta pass: copy cached rows, recompute only the affected ones.
         # New rows (>= old_n) are marked affected at every step, so they
         # are always recomputed.
-        pool = get_pool(workers)
         h = [{side: self.model._features(graph, side) for side in _SIDES}]
         for step in range(1, steps + 1):
             rows = {side: np.flatnonzero(per_step[step - 1][side]) for side in _SIDES}
@@ -268,7 +278,7 @@ class StreamingEmbedder:
                     h[-1],
                     step,
                     self.batch_size,
-                    pool,
+                    get_pool(),
                     self.sample_seed,
                     rows=rows,
                     cached=self._h[step],

@@ -134,7 +134,7 @@ class TestRestartSelection:
             )
 
         monkeypatch.setattr(km, "_restart_task", fake_restart)
-        result = km.kmeans(points, 2, KMeansConfig(n_init=4), rng=0, workers=1)
+        result = km.kmeans(points, 2, KMeansConfig(n_init=4), rng=0)
         assert result.n_iter == 0  # submission order breaks the tie
 
     def test_strictly_better_restart_wins(self, monkeypatch):
@@ -152,7 +152,7 @@ class TestRestartSelection:
             )
 
         monkeypatch.setattr(km, "_restart_task", fake_restart)
-        result = km.kmeans(points, 2, KMeansConfig(n_init=4), rng=0, workers=1)
+        result = km.kmeans(points, 2, KMeansConfig(n_init=4), rng=0)
         assert result.n_iter == 3  # lowest inertia, regardless of order
 
 

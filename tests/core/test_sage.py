@@ -82,6 +82,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="batch_size"):
             embedder.full_embed(graph)
 
+    def test_parallel_embedding_of_a_graph_rejected(self, graph):
+        # Only a ShardedCSR store fans out; a graph embeds in process.
+        with pytest.raises(ValueError, match="ShardedCSR"):
+            _module(graph).embed_all(graph, workers=2)
+
 
 class TestSharedSpace:
     def test_matrices_are_shared(self, graph):

@@ -108,43 +108,6 @@ class TestTaskMutatesGlobal:
         assert codes == []
 
 
-class TestSharedMatrixLifecycle:
-    def test_flags_bare_from_array(self, lint_codes):
-        codes = lint_codes(
-            """
-            from repro.parallel.shared import SharedMatrix
-
-            def share(points):
-                handle = SharedMatrix.from_array(points)
-                return handle
-            """
-        )
-        assert codes == ["RPR203"]
-
-    def test_with_block_not_flagged(self, lint_codes):
-        codes = lint_codes(
-            """
-            from repro.parallel.shared import shared_arrays
-
-            def share(pool, points):
-                with shared_arrays(pool, points) as (handle,):
-                    return handle.shape
-            """
-        )
-        assert codes == []
-
-    def test_unrelated_from_array_not_flagged(self, lint_codes):
-        codes = lint_codes(
-            """
-            import pandas as pd
-
-            def frame(records):
-                return pd.DataFrame.from_records(records)
-            """
-        )
-        assert codes == []
-
-
 class TestUnownedMemmap:
     def test_flags_bare_np_memmap(self, lint_codes):
         codes = lint_codes(

@@ -1,7 +1,10 @@
-"""WorkerPool semantics: serial fallback, ordering, obs merge, timeouts."""
+"""WorkerPool semantics: serial fallback, ordering, obs merge, timeouts,
+worker death."""
 
 import os
+import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import repro.obs as obs
 from repro.obs.metrics import counter_add
 from repro.obs.trace import span
 from repro.parallel import WorkerPool, get_pool
+from repro.shard import active_shard_dirs
 
 
 # Task functions must be module-level so worker processes can resolve
@@ -33,6 +37,25 @@ def _sleepy(task, context):
 
 def _boom(task, context):
     raise ValueError(f"task {task} failed")
+
+
+def _die_on_zero(task, context):
+    if task == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task
+
+
+def _shm_entries():
+    shm = Path("/dev/shm")
+    return set(os.listdir(shm)) if shm.is_dir() else set()
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _counted(task, context):
@@ -95,6 +118,21 @@ class TestParallelMap:
                 pool.map(_sleepy, [5.0, 5.0], timeout=0.3)
             # The wedged pool was terminated; the next map gets a new one.
             assert pool.map(_double, [2]) == [4]
+
+    def test_killed_worker_fails_the_map_and_the_pool_recovers(self):
+        before = _shm_entries()
+        # Above the inline limit, so the context travels as a /dev/shm blob.
+        context = np.ones(200_000)
+        with WorkerPool(2) as pool:
+            # A hang would end in TimeoutError after 60 s; death must
+            # raise RuntimeError at once instead.
+            with pytest.raises(RuntimeError, match="'doomed'.*died"):
+                pool.map(_die_on_zero, range(4), context=context, timeout=60, label="doomed")
+            assert pool.map(_double, [1, 2]) == [2, 4]
+            pids = set(pool.map(_pid_task, range(8)))
+        assert _shm_entries() - before == set()
+        assert active_shard_dirs() == set()
+        assert not any(_alive(pid) for pid in pids)
 
     def test_shutdown_idempotent(self):
         pool = WorkerPool(2)

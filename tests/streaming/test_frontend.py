@@ -74,6 +74,19 @@ class TestServing:
         with pytest.raises(ValueError, match="microbatch"):
             _frontend(microbatch=0)
 
+    def test_worker_count_rejected(self):
+        # Streaming passes run in process; only workers=1 is accepted.
+        graph = random_bipartite(20, 15, 60, feature_dim=6, rng=0)
+        cfg = SageConfig(embedding_dim=8, neighbor_samples=(4, 3))
+        frontend = ServingFrontend(
+            graph, StreamingEmbedder(BipartiteGraphSAGE(6, 6, cfg, rng=0))
+        )
+        with pytest.raises(ValueError, match="in process"):
+            frontend.warm(workers=2)
+        frontend.warm(workers=1)
+        with pytest.raises(ValueError, match="in process"):
+            frontend.refresh(workers=2)
+
 
 class TestCache:
     def test_repeat_requests_hit(self):

@@ -2,8 +2,8 @@
 
 The contract: after any edge/vertex delta,
 ``StreamingEmbedder.refresh(mutated)`` produces exactly the floats of
-``full_embed(mutated)`` on a fresh embedder — at any worker count, for
-any delta size, whether the delta path ran or degradation kicked in.
+``full_embed(mutated)`` on a fresh embedder — for any delta size,
+whether the delta path ran or degradation kicked in.
 The trick is per-vertex sampling (a vertex's neighbour draw is addressed
 by ``(seed, side, step, vertex, slot)``, not by stream position or task)
 plus fixed-tile recomputation: the kernel computes only the affected
@@ -24,7 +24,6 @@ import pytest
 from repro.core.sage import BipartiteGraphSAGE
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite
-from repro.parallel import shutdown_pools
 from repro.streaming import IncrementalBipartiteGraph, StreamingEmbedder
 from repro.utils.config import SageConfig
 
@@ -284,23 +283,3 @@ class TestErrorPaths:
         embedder.full_embed(graph)
         with pytest.raises(ValueError):
             embedder.refresh(graph, dirty_users=np.array([graph.num_users + 5]))
-
-
-@pytest.mark.parallel
-class TestWorkerEquivalence:
-    @pytest.fixture(scope="class", autouse=True)
-    def _shutdown(self):
-        yield
-        shutdown_pools()
-
-    def test_row_granular_refresh_two_workers_equals_full_embed(self):
-        graph, model = _hub_world(num_users=6_000, num_items=500)
-        embedder = StreamingEmbedder(model, sample_seed=0, batch_size=64)
-        embedder.full_embed(graph, workers=2)
-        inc = IncrementalBipartiteGraph(graph)
-        inc.add_edges(np.array([[1, 0], [7, 0], [4, 3]]))
-        embedder.refresh(inc, workers=2)
-        assert embedder.last_stats.mode == "delta"
-        reference = StreamingEmbedder(model, sample_seed=0, batch_size=64)
-        reference.full_embed(inc.graph)
-        _assert_bitwise_equal(embedder.embeddings, reference.embeddings)

@@ -4,22 +4,25 @@ One engine runs every full-graph embedding pass, and each output row is
 a pure function of its vertex: the vertex's neighbour draw is addressed
 by ``(sample_seed, side, step, vertex, slot)``, and every matmul runs
 whole tiles of one row count.  Tasks of ``batch_size`` rows are only
-scheduling.  Three promises follow, the first two at any worker count:
+scheduling.  Three promises follow:
 
 1. ``embed_all(graph)`` at any ``batch_size``, ``embed_all(store)`` over
-   the graph's out-of-core store and ``StreamingEmbedder(model,
-   sample_seed=model.sample_seed).full_embed(graph)`` give the same
-   bytes.
+   the graph's out-of-core store at any worker count, and
+   ``StreamingEmbedder(model, sample_seed=model.sample_seed)
+   .full_embed(graph)`` give the same bytes.
 2. After an edge delta, a re-added-edge delta (edges the graph already
    has), a vertex delta (new vertices with edges) or a vertex-only delta
    (new isolated vertices), a delta ``StreamingEmbedder.refresh`` gives
-   the bytes of a full pass over the mutated graph.  That graph is built
-   by the constructor (``tests.oracles.reference_fold``), not by the
-   incremental fold the refresh reads, so a fold bug cannot pass on both
-   sides.
+   the bytes of a full pass over the mutated graph's store at any worker
+   count.  That graph is built by the constructor
+   (``tests.oracles.reference_fold``), not by the incremental fold the
+   refresh reads, so a fold bug cannot pass on both sides.
 3. The forward we train is the forward we serve: under the serving key,
    the training block ``embed_block(graph, users=[u], items=[i])`` gives
    ``embed_all``'s rows for ``u`` and ``i``.
+
+Only the store pass fans out over worker processes, so ``WORKERS``
+applies to ``embed_all(store, workers=...)`` alone.
 
 The examples pin output widths whose BLAS kernels round a row
 differently with the number of rows in its call (``d % 8`` in 1..4 with
@@ -39,7 +42,7 @@ from hypothesis import strategies as st
 
 from repro.core.sage import BipartiteGraphSAGE
 from repro.graph.generators import random_bipartite
-from repro.parallel import active_segment_names, shutdown_pools
+from repro.parallel import shutdown_pools
 from repro.shard import active_shard_dirs
 from repro.streaming import IncrementalBipartiteGraph, StreamingEmbedder
 from repro.utils.config import SageConfig
@@ -115,20 +118,17 @@ def test_dense_sharded_and_streaming_passes_give_the_same_bytes(
     workers, world, other_batch_size
 ):
     graph, model, batch_size = world
-    dense = model.embed_all(graph, batch_size=batch_size, workers=workers)
-    _assert_same_bytes(
-        model.embed_all(graph, batch_size=other_batch_size, workers=workers), dense
-    )
+    dense = model.embed_all(graph, batch_size=batch_size)
+    _assert_same_bytes(model.embed_all(graph, batch_size=other_batch_size), dense)
     streamed = StreamingEmbedder(
         model, sample_seed=model.sample_seed, batch_size=batch_size
-    ).full_embed(graph, workers=workers)
+    ).full_embed(graph)
     _assert_same_bytes(streamed, dense)
     with tempfile.TemporaryDirectory() as tmp:
         with graph.to_sharded(Path(tmp) / "s") as store:
             sharded = model.embed_all(store, batch_size=batch_size, workers=workers)
             _assert_same_bytes(sharded, dense)
             del sharded
-    assert active_segment_names() == set()
     assert active_shard_dirs() == set()
 
 
@@ -181,19 +181,20 @@ def test_delta_refresh_equals_a_full_pass(workers, world, kinds, delta_seed):
     embedder = StreamingEmbedder(
         model, sample_seed=model.sample_seed, batch_size=batch_size, degrade_threshold=1.0
     )
-    embedder.full_embed(graph, workers=workers)
+    embedder.full_embed(graph)
     inc = IncrementalBipartiteGraph(graph)
     # The full pass reads the constructor-built graph, not the fold under test.
     reference = graph
     for kind in kinds:
         _apply_delta(inc, kind, rng)
         reference = reference_fold(reference, inc)
-        embedder.refresh(inc, workers=workers)
+        embedder.refresh(inc)
         assert embedder.last_stats.mode == "delta"
-    _assert_same_bytes(
-        embedder.embeddings, model.embed_all(reference, batch_size=batch_size)
-    )
-    assert active_segment_names() == set()
+    with tempfile.TemporaryDirectory() as tmp:
+        with reference.to_sharded(Path(tmp) / "s") as store:
+            full = model.embed_all(store, batch_size=batch_size, workers=workers)
+            _assert_same_bytes(embedder.embeddings, full)
+            del full
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,6 +20,10 @@ from benchmarks.hotpaths import (
 )
 
 
+# A streamed world small enough for wiring tests of the parallel row.
+_TINY_STORE = {"users": 120, "items": 90, "clusters": 6, "shards": 3, "degree": 4.0}
+
+
 def _report(**sections) -> dict:
     """A minimal v5-shaped report with the given benchmark sections."""
     return {
@@ -76,7 +80,7 @@ class TestCheckReport:
     def test_degraded_row_skipped_not_failed(self):
         base = _report(
             parallel=[
-                _row(0.1, variant="kmeans_restarts", n=50, k=3, workers=4,
+                _row(0.1, variant="embed_all_store", num_shards=4, workers=4,
                      workers_effective=4, degraded=False)
             ]
         )
@@ -92,7 +96,7 @@ class TestCheckReport:
     def test_workers_effective_mismatch_skipped(self):
         base = _report(
             parallel=[
-                _row(0.1, variant="kmeans_restarts", n=50, k=3, workers=4,
+                _row(0.1, variant="embed_all_store", num_shards=4, workers=4,
                      workers_effective=4, degraded=False)
             ]
         )
@@ -180,9 +184,7 @@ class TestOversubscribedRows:
     def test_flag_follows_affinity_mask(self, monkeypatch, workers, usable, degraded):
         import os
 
-        monkeypatch.setitem(bench.GRAPH_SIZES, "quick", [(40, 30, 120)])
-        monkeypatch.setitem(bench.KMEANS_SIZES, "quick", [(60, 4, 5)])
-        monkeypatch.setitem(bench.PARALLEL_SCORE_SIZES, "quick", (32, 12, 8))
+        monkeypatch.setitem(bench.PARALLEL_STORE_SIZES, "quick", _TINY_STORE)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)))
         rows = bench._bench_parallel("quick", seed=0, repeats=1, workers=workers)
         assert {row["degraded"] for row in rows} == {degraded}
@@ -210,7 +212,7 @@ class TestRenderCheckTable:
     def test_skip_reason_rendered(self):
         base = _report(
             parallel=[
-                _row(0.1, variant="kmeans_restarts", n=50, k=3, workers=4,
+                _row(0.1, variant="embed_all_store", num_shards=4, workers=4,
                      workers_effective=4, degraded=True)
             ]
         )
@@ -224,7 +226,7 @@ class TestCliBenchCheck:
         monkeypatch.setitem(bench.GRAPH_SIZES, "quick", [(40, 30, 120)])
         monkeypatch.setitem(bench.KMEANS_SIZES, "quick", [(60, 4, 5)])
         monkeypatch.setitem(bench.SCORE_SIZES, "quick", [(40, 30, 5, 10)])
-        monkeypatch.setitem(bench.PARALLEL_SCORE_SIZES, "quick", (32, 12, 8))
+        monkeypatch.setitem(bench.PARALLEL_STORE_SIZES, "quick", _TINY_STORE)
         monkeypatch.setitem(
             bench.SHARD_SIZES,
             "quick",

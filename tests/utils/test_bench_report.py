@@ -21,17 +21,19 @@ def tiny_report(tmp_path_factory):
     sizes = dict(bench.GRAPH_SIZES)
     ksizes = dict(bench.KMEANS_SIZES)
     ssizes = dict(bench.SHARD_SIZES)
+    psizes = dict(bench.PARALLEL_STORE_SIZES)
+    tiny_store = {"users": 120, "items": 90, "clusters": 6, "shards": 3, "degree": 4.0}
     bench.GRAPH_SIZES["quick"] = [(40, 30, 120)]
     bench.KMEANS_SIZES["quick"] = [(60, 4, 5)]
-    bench.SHARD_SIZES["quick"] = [
-        {"users": 120, "items": 90, "clusters": 6, "shards": 3, "degree": 4.0}
-    ]
+    bench.SHARD_SIZES["quick"] = [tiny_store]
+    bench.PARALLEL_STORE_SIZES["quick"] = tiny_store
     try:
         report = bench_hotpaths("quick", seed=0, repeats=1)
     finally:
         bench.GRAPH_SIZES.update(sizes)
         bench.KMEANS_SIZES.update(ksizes)
         bench.SHARD_SIZES.update(ssizes)
+        bench.PARALLEL_STORE_SIZES.update(psizes)
     return report
 
 
