@@ -83,3 +83,13 @@ def test_later_pass_leaves_earlier_result_intact(tmp_path):
             assert np.array_equal(np.asarray(got), expected)
             assert not np.array_equal(np.asarray(got), np.asarray(other))
         del first, second
+
+
+def test_cli_dense_mode_rejects_workers(capsys):
+    # Only the store pass fans out; the dense side of `repro shard` runs
+    # in process, so asking it for workers is a usage error.
+    from repro.cli import main
+
+    code = main(["shard", "--mode", "dense", "--workers", "2", "--users", "30", "--items", "20"])
+    assert code == 2
+    assert "--mode sharded" in capsys.readouterr().err
