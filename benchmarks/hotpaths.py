@@ -1099,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes of the store-backed embeds of the parallel and "
+        help="worker threads of the store-backed embeds of the parallel and "
         "shard rows (the parallel section compares 1 against N; 4 when N is "
         "1); every other row runs in-process",
     )

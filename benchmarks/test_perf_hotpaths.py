@@ -27,7 +27,6 @@ import pathlib
 
 import pytest
 
-from repro.parallel import configure
 from hotpaths import (
     SCHEMA,
     bench_hotpaths,
@@ -42,7 +41,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_hotpath_bench_writes_report(report, tmp_path):
-    configure(map_timeout_s=120.0)  # fail fast if a worker pool wedges
     result = bench_hotpaths("quick", seed=0, repeats=3, workers=2)
     path = write_report(result, tmp_path / "BENCH_hotpaths.json")
     report("hotpath_bench", render_report(result))
@@ -116,7 +114,6 @@ def test_bench_check_against_committed_baseline(request, report):
     if not request.config.getoption("--check-baseline"):
         pytest.skip("pass --check-baseline to compare against BENCH_hotpaths.json")
     baseline = load_report(REPO_ROOT / "BENCH_hotpaths.json")
-    configure(map_timeout_s=120.0)
     current = bench_hotpaths(
         "quick",
         seed=baseline.get("seed", 0),

@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes of the out-of-core embedding pass (1 = "
-        "in-process); --mode dense runs in process",
+        help="worker threads of the out-of-core embedding pass (1 = "
+        "inline); --mode dense runs inline",
     )
     _logging_flags(shard)
 

@@ -103,10 +103,7 @@ def kmeans(
         k=n_clusters,
         n_init=n_init,
     ) as kspan:
-        results = [
-            _restart_task(task, (points, n_clusters, config))
-            for task in enumerate(rngs)
-        ]
+        results = [_restart(points, n_clusters, config, r) for r in rngs]
         best = results[0]
         for result in results[1:]:  # restart order -> deterministic ties
             if result.inertia < best.inertia:
@@ -117,10 +114,10 @@ def kmeans(
     return best
 
 
-def _restart_task(task: tuple, context: tuple) -> KMeansResult:
-    """One k-means restart: ``task`` is ``(index, rng)``."""
-    _, rng = task
-    points, n_clusters, config = context
+def _restart(
+    points: np.ndarray, n_clusters: int, config: KMeansConfig, rng: np.random.Generator
+) -> KMeansResult:
+    """One k-means restart on its own generator."""
     if config.algorithm == "lloyd":
         result = _lloyd(points, n_clusters, config, rng)
     elif config.algorithm == "minibatch":

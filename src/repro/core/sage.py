@@ -39,8 +39,9 @@ or a ``ShardedCSR`` store, with :func:`_sage_step` outside autograd.
 Tasks of ``batch_size`` rows are only scheduling, so a graph and its
 shard store, any worker count, any ``batch_size`` and a delta refresh
 of a subset of rows all give the same bytes.  Step matrices live in RAM
-for graphs (one process) and in memory-mapped files for stores, whose
-tasks alone fan out over worker processes.
+for graphs and in memory-mapped files for stores, whose tasks alone fan
+out over the pool's worker threads (they write disjoint rows, and their
+numpy and BLAS calls release the GIL).
 """
 
 from __future__ import annotations
@@ -198,6 +199,9 @@ def _chunk_kernel(
     ``params`` the step's weights as arrays.
     """
     valid = neigh >= 0
+    # Grad mode is one module global, not per thread.  Parallel maps run
+    # only inside embed_all's no_grad(), so on every worker thread this
+    # saves and restores False.
     with no_grad():
         stacked = Tensor(other_prev[np.where(valid, neigh, 0)])
         return _sage_step(Tensor(own), stacked, valid, params).data
@@ -208,8 +212,8 @@ def _chunk_task(rows: np.ndarray, context: tuple) -> np.ndarray | None:
     at one step.
 
     ``context`` is ``(source, side, own, other, out, sample_seed, step,
-    fanout, params)``: the neighbour source (a store travels as its
-    path), handles of both sides' step-``p-1`` matrices, a writable
+    fanout, params)``: the neighbour source, handles of both sides'
+    step-``p-1`` matrices, a writable
     :class:`MappedMatrix` for the rows (None: return them), and the
     step's weights.
     """
@@ -219,8 +223,8 @@ def _chunk_task(rows: np.ndarray, context: tuple) -> np.ndarray | None:
     z = _chunk_kernel(own_prev[rows], other_prev, neigh, params)
     if out is None:
         return z
-    # MAP_SHARED writes are visible to every other mapping of the file
-    # at once; these scratch matrices need no flush.
+    # Tasks write disjoint rows of one shared mapping; these scratch
+    # matrices need no flush.
     out.array[rows] = z
     return None
 
@@ -396,8 +400,8 @@ class BipartiteGraphSAGE(Module):
         bytes at any ``batch_size`` (rows per task) — the bytes of
         ``StreamingEmbedder(self, sample_seed=self.sample_seed)
         .full_embed(graph)`` — and a store gives them at any
-        ``workers`` (pool size; 1 runs in-process).  A graph runs in
-        process: ``workers > 1`` over a graph raises ``ValueError``.
+        ``workers`` (worker threads; 1 runs inline).  A graph runs
+        inline: ``workers > 1`` over a graph raises ``ValueError``.
         ``mode`` only accepts ``"layerwise"``.
         """
         if mode != "layerwise":
@@ -478,7 +482,7 @@ class BipartiteGraphSAGE(Module):
     ) -> dict:
         """Step-``step`` matrices of both sides from the step-``step-1``
         matrices ``prev``: one :func:`_chunk_task` map over ``pool`` per
-        side (a worker then maps one side's output at a time).
+        side.
 
         With ``rows`` (sorted ids per side) only those rows are
         recomputed; every other row is copied from ``cached`` (shorter
@@ -499,7 +503,7 @@ class BipartiteGraphSAGE(Module):
             if cached is not None and not plan:
                 new[side] = cached[side]  # nothing affected: shape unchanged
                 continue
-            params = self._step_params(step, side)  # arrays travel, not Parameters
+            params = self._step_params(step, side)
             context = (
                 source,
                 side,

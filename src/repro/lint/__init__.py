@@ -7,8 +7,8 @@ families, each policing an invariant the test suite can only spot-check:
   :mod:`repro.utils.rng`; no wall-clock reads or hash-order iteration in
   numeric paths (the ``workers=1`` vs ``workers=N`` bitwise guarantee);
   no test asserts on a ratio of two timings.
-* **fork-safety** (RPR2xx) — pool tasks are module-level and side-effect
-  free; shared-memory segments have owned cleanup paths.
+* **fork-safety** (RPR2xx) — pool tasks write no module-level state;
+  memory maps have owned cleanup paths.
 * **obs hygiene** (RPR3xx) — spans are ``with``-scoped, logging is
   lazily formatted, metrics go through the installed registry.
 * **numeric API** (RPR4xx) — no autograd-bypassing ``.data`` writes

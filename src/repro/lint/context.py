@@ -78,7 +78,6 @@ class ModuleContext:
         self.imports: dict[str, str] = {}  # local alias -> module dotted path
         self.module_level_mutables: set[str] = set()
         self.task_functions: set[str] = set()
-        self.nested_functions: set[str] = set()
         self._scope_sets: dict[ast.AST, set[str]] = {}
         self.line_suppressions: dict[int, set[str]] = {}
         self.file_suppressions: set[str] = set()
@@ -108,9 +107,6 @@ class ModuleContext:
                         )
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._scope_sets.setdefault(node, set())
-                scope = self.enclosing_scope(node)
-                if not isinstance(scope, ast.Module):
-                    self.nested_functions.add(node.name)
                 self._collect_arg_annotations(node)
             elif isinstance(node, ast.AnnAssign):
                 if isinstance(node.target, ast.Name) and self._is_set_annotation(

@@ -134,7 +134,7 @@ def _is_enter_context_arg(node: ast.Call, ctx: ModuleContext) -> bool:
     description=(
         "ResourceMonitor() starts a sampling thread; anything but "
         "`with ResourceMonitor(...)` (or ExitStack.enter_context) risks "
-        "the thread outliving its work and surviving into forked workers"
+        "the thread outliving its work"
     ),
     nodes=(ast.Call,),
 )
@@ -229,7 +229,7 @@ def check_unbounded_serving_cache(
     severity=Severity.WARNING,
     family="obs-hygiene",
     description=(
-        "MetricsRegistry() outside the obs/parallel infrastructure records "
+        "MetricsRegistry() outside the obs infrastructure records "
         "metrics nothing exports; use counter_add/gauge_set/observe_value"
     ),
     nodes=(ast.Call,),

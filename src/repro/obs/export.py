@@ -60,7 +60,7 @@ def _monitor_series(monitor: Any) -> list[dict[str, Any]]:
         return []
     if isinstance(monitor, list):
         return monitor
-    return monitor.all_series()
+    return [monitor.series()]
 
 
 def monitor_counter_events(

@@ -6,33 +6,24 @@ record samples into fixed log-spaced buckets (HDR-histogram style) so
 ``snapshot()`` can report p50/p90/p99 alongside count/sum/min/max
 without storing every sample.
 
-Bucketing is deterministic and merge-exact: a sample lands in the same
-bucket no matter which process observes it, and merging two histograms
-is an element-wise integer add of bucket counts.  A parent registry that
-folds worker snapshots therefore ends up in *identical* state however
-the samples were distributed across workers — the property the
-``workers=1`` vs ``workers=4`` bitwise-determinism tests pin.
-
-Gauges carry a per-gauge **merge policy** declared at write time::
-
-    gauge_set("pool.queue_depth", depth)                # default: "last"
-    gauge_set("monitor.peak_rss_mb", peak, merge="max")  # peaks survive merge
-
-``last`` (the default) keeps last-merge-wins semantics, matching the
-last-write-wins behaviour of :meth:`MetricsRegistry.gauge_set` itself.
-``max``/``min`` take the extremum across merged snapshots — use ``max``
-for peak-resource gauges so a worker's high-water mark is not silently
-overwritten by the parent's smaller value at join.
+Bucketing is deterministic: a sample lands in the same bucket whichever
+thread observes it, and bucket counts are integers, so the state a
+``workers=2`` store embed leaves equals the ``workers=1`` run's — the
+property ``tests/parallel/test_parallel_equivalence.py`` pins.  Updates
+take the registry's lock, because the pool's worker threads record
+counters inside their tasks.
 
 Like :mod:`repro.obs.trace`, call sites go through module-level helpers
 (:func:`counter_add`, :func:`gauge_set`, :func:`observe`) that check a
 module-global registry; with none installed each call is one global
-read and a ``None`` test, cheap enough to leave in hot loops.
+read and a ``None`` test, cheap enough to leave in hot loops (the lock
+is only taken once a registry is installed).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Any
 
 __all__ = [
@@ -56,8 +47,6 @@ _SUBBUCKETS = 8
 # positive values).  Far below any frexp exponent (subnormal doubles
 # bottom out near e = -1073, i.e. index ~ -8584).
 _NONPOS_BUCKET = -(1 << 30)
-
-GAUGE_POLICIES = ("last", "max", "min")
 
 
 def bucket_index(value: float) -> int:
@@ -120,26 +109,6 @@ class _Histogram:
                 return min(max(bucket_value(idx), self.min), self.max)
         return self.max  # pragma: no cover - rank always reachable
 
-    def merge(self, snap: dict[str, Any]) -> None:
-        count = int(snap["count"])
-        self.count += count
-        self.sum += snap["sum"]
-        self.min = min(self.min, snap["min"])
-        self.max = max(self.max, snap["max"])
-        buckets = snap.get("buckets")
-        if buckets is None:
-            # Pre-percentile snapshot (no bucket state): lossy fallback
-            # that keeps sum(buckets) == count by crediting everything
-            # to the mean's bucket.
-            if count:
-                mean = snap["sum"] / count
-                idx = bucket_index(mean)
-                self.buckets[idx] = self.buckets.get(idx, 0) + count
-            return
-        for key, n in buckets.items():
-            idx = int(key)  # JSON round-trips turn int keys into strings
-            self.buckets[idx] = self.buckets.get(idx, 0) + int(n)
-
     def snapshot(self) -> dict[str, Any]:
         return {
             "count": self.count,
@@ -157,90 +126,51 @@ class _Histogram:
 class MetricsRegistry:
     """Named counters, gauges and log-bucket percentile histograms.
 
-    Merge semantics (see :meth:`merge`): counters and histogram bucket
-    counts accumulate exactly; gauges follow their declared policy —
-    ``last`` (default) is last-merge-wins, ``max``/``min`` keep the
-    extremum across snapshots (used for peak-RSS style gauges).
+    Every update takes one lock, so tasks on the pool's worker threads
+    may record into the caller's registry.
     """
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        # Only gauges with a non-default ("last") policy appear here.
-        self.gauge_policies: dict[str, str] = {}
         self.histograms: dict[str, _Histogram] = {}
+        self._lock = threading.Lock()
 
     def counter_add(self, name: str, value: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + value
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0.0) + value
 
-    def gauge_set(self, name: str, value: float, merge: str = "last") -> None:
-        if merge not in GAUGE_POLICIES:
-            raise ValueError(f"unknown gauge merge policy: {merge!r}")
-        self.gauges[name] = float(value)
-        if merge != "last":
-            self.gauge_policies[name] = merge
-        else:
-            self.gauge_policies.pop(name, None)
+    def gauge_set(self, name: str, value: float) -> None:
+        with self._lock:
+            self.gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = _Histogram()
-        hist.observe(value)
+        with self._lock:
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = self.histograms[name] = _Histogram()
+            hist.observe(value)
 
     def counter(self, name: str) -> float:
         """Current counter value (0 if never incremented)."""
         return self.counters.get(name, 0.0)
-
-    def merge(self, snapshot: dict[str, Any]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters accumulate.  Histograms merge exactly: summary stats
-        combine and log-bucket counts add element-wise, so the merged
-        state is independent of how samples were split across
-        snapshots.  Gauges follow their merge policy — ``last``
-        (default) takes the merged snapshot's value, ``max``/``min``
-        keep the extremum.  Used to propagate metrics recorded inside
-        worker processes back into the parent registry when a parallel
-        map joins.
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter_add(name, value)
-        policies = snapshot.get("gauge_policies", {})
-        for name, value in snapshot.get("gauges", {}).items():
-            policy = policies.get(name, self.gauge_policies.get(name, "last"))
-            current = self.gauges.get(name)
-            if current is None or policy == "last":
-                merged = float(value)
-            elif policy == "max":
-                merged = max(current, float(value))
-            else:  # "min"
-                merged = min(current, float(value))
-            self.gauge_set(name, merged, merge=policy)
-        for name, hist_snap in snapshot.get("histograms", {}).items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = _Histogram()
-            hist.merge(hist_snap)
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready dump of every metric.
 
         Histogram entries carry count/sum/min/max/mean plus p50/p90/p99
         (nearest-rank over bucket midpoints, clamped to the observed
-        range) and the raw ``buckets`` map used for exact merging.
+        range) and the raw ``buckets`` map.
         """
-        return {
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            "gauge_policies": {
-                k: self.gauge_policies[k] for k in sorted(self.gauge_policies)
-            },
-            "histograms": {
-                name: self.histograms[name].snapshot()
-                for name in sorted(self.histograms)
-            },
-        }
+        with self._lock:
+            return {
+                "counters": {k: self.counters[k] for k in sorted(self.counters)},
+                "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
+                "histograms": {
+                    name: self.histograms[name].snapshot()
+                    for name in sorted(self.histograms)
+                },
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +186,11 @@ def counter_add(name: str, value: float = 1.0) -> None:
         registry.counter_add(name, value)
 
 
-def gauge_set(name: str, value: float, merge: str = "last") -> None:
-    """Set gauge ``name`` on the active registry (no-op if none).
-
-    ``merge`` declares the cross-snapshot merge policy (``last``/``max``/
-    ``min``); see :class:`MetricsRegistry`.
-    """
+def gauge_set(name: str, value: float) -> None:
+    """Set gauge ``name`` on the active registry (no-op if none)."""
     registry = _REGISTRY
     if registry is not None:
-        registry.gauge_set(name, value, merge=merge)
+        registry.gauge_set(name, value)
 
 
 def observe(name: str, value: float) -> None:

@@ -17,14 +17,10 @@ as the module-global target of :func:`heartbeat`, restoring the
 previous one on exit — the same shadowing contract as
 ``obs.observe()``.
 
-Fork-safety: a forked child inherits the module global and the monitor
-object but *not* the sampler thread (threads do not survive ``fork``).
-``repro.parallel`` worker initialisation therefore resets the global,
-and :meth:`ResourceMonitor.stop` no-ops off the owner pid, exactly like
-``WorkerPool``.  Workers run their own short-lived monitor per task and
-ship its :meth:`series` back with the map result, tagged by worker pid;
-the parent folds them in via :meth:`adopt_series` so one Chrome trace
-carries every process's counter tracks.
+One process: the pool's tasks run on threads of the process that owns
+the monitor, so its samples cover all of their memory and CPU.
+:meth:`ResourceMonitor.stop` still no-ops off the owner pid: a forked
+copy inherits the monitor object but not its sampler thread.
 
 Heartbeats are the progress half: hot loops call
 :func:`heartbeat("shard.embed", done, total)` — one global read and a
@@ -194,8 +190,7 @@ class ResourceMonitor:
             run_long_job()
         print(mon.peak_rss_mb)
 
-    ``tag`` labels the series (default ``pid<N>``); worker processes use
-    ``worker-<pid>`` so merged traces keep per-process tracks.
+    ``tag`` labels the series (default ``pid<N>``).
     """
 
     def __init__(
@@ -211,7 +206,6 @@ class ResourceMonitor:
         self.tag = tag or f"pid{os.getpid()}"
         self.samples: list[dict[str, float]] = []
         self.heartbeats: dict[str, dict[str, Any]] = {}
-        self._worker_series: list[dict[str, Any]] = []
         self._renderer = (
             _ProgressRenderer(progress_stream) if progress or progress_stream else None
         )
@@ -254,7 +248,7 @@ class ResourceMonitor:
             self._renderer.finish()
         peak = self.peak_rss_mb
         if peak:
-            gauge_set("monitor.peak_rss_mb", peak, merge="max")
+            gauge_set("monitor.peak_rss_mb", peak)
 
     def __enter__(self) -> "ResourceMonitor":
         self.start()
@@ -327,7 +321,7 @@ class ResourceMonitor:
             self._renderer.render(name, snapshot)
         return snapshot
 
-    # -- series export / merge ----------------------------------------
+    # -- series export -------------------------------------------------
     def series(self) -> dict[str, Any]:
         """This process's series as a JSON-ready dict."""
         with self._lock:
@@ -341,15 +335,6 @@ class ResourceMonitor:
                     (s["rss_mb"] for s in self.samples), default=0.0
                 ),
             }
-
-    def adopt_series(self, series: dict[str, Any]) -> None:
-        """Fold a worker's :meth:`series` payload into this monitor."""
-        with self._lock:
-            self._worker_series.append(series)
-
-    def all_series(self) -> list[dict[str, Any]]:
-        """Own series first, then adopted worker series (adoption order)."""
-        return [self.series()] + list(self._worker_series)
 
 
 def _json_value(value: Any) -> Any:

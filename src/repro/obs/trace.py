@@ -12,8 +12,9 @@ installed, :func:`span` returns a shared no-op singleton and
 in hot loops costs one global read and a ``None`` check (verified by a
 bench guard in ``tests/obs/test_overhead.py``).
 
-Not thread-safe: the span stack is a plain module-global, matching the
-single-threaded execution model of the rest of the library.
+Pool tasks open no spans: the span stack is a plain module-global, not
+thread-safe, so :mod:`repro.parallel`'s worker threads record counters
+only, and the map's one ``parallel.map`` span covers their tasks.
 """
 
 from __future__ import annotations
@@ -74,28 +75,6 @@ class Span:
         yield self, depth
         for child in self.children:
             yield from child.walk(depth + 1)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form of this subtree (for cross-process transfer)."""
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "start_s": self.start_s,
-            "end_s": self.end_s if self.end_s is not None else self.start_s,
-            "children": [child.to_dict() for child in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any], tracer: "Tracer") -> "Span":
-        """Rebuild a finished span subtree produced by :meth:`to_dict`."""
-        sp = cls.__new__(cls)
-        sp.name = str(data["name"])
-        sp.attrs = dict(data.get("attrs") or {})
-        sp.children = [cls.from_dict(c, tracer) for c in data.get("children", ())]
-        sp.start_s = float(data["start_s"])
-        sp.end_s = float(data["end_s"])
-        sp._tracer = tracer
-        return sp
 
     def __enter__(self) -> "Span":
         return self
@@ -166,20 +145,6 @@ class Tracer:
         """Finish any spans left open (e.g. after an exception)."""
         while self._stack:
             self.finish(self._stack[-1])
-
-    def adopt(self, span_dicts: list[dict[str, Any]]) -> None:
-        """Graft serialized, finished span trees into this tracer's forest.
-
-        The trees become children of the innermost open span (or roots if
-        none is open).  ``time.perf_counter`` reads CLOCK_MONOTONIC, which
-        is system-wide on the platforms we run on, so spans recorded in a
-        forked worker line up with the parent's timeline as-is.
-        """
-        spans = [Span.from_dict(d, self) for d in span_dicts]
-        if self._stack:
-            self._stack[-1].children.extend(spans)
-        else:
-            self.roots.extend(spans)
 
     def all_spans(self) -> Iterator[tuple[Span, int]]:
         """Pre-order ``(span, depth)`` over every root."""

@@ -11,13 +11,13 @@ CSRs, and a store answers the same array queries through the same
 (O(vertices)) are read into RAM; neighbour lists and features stay on
 disk behind ``np.memmap``.  Per-row neighbour order is the source's,
 which keeps sampling — and so the out-of-core ``embed_all`` — bitwise
-identical to the in-memory graph.  A store pickles as its path, so a
-worker task given a store attaches its own read-only handle.
+identical to the in-memory graph.  A store's reads keep no state, so
+the pool's worker threads share one handle.
 
 :meth:`ShardedCSR.open` checks every file against the manifest (byte
 sizes, and each ``indptr`` running from 0 to the edge count without
 decreasing), so a truncated or corrupt store fails when it is opened,
-not at the first draw inside a worker.
+not at the first draw inside a task.
 
 Lifecycle: the process that creates a store directory is the
 **owner** and is the only one whose :meth:`ShardedCSR.destroy` removes
@@ -117,21 +117,14 @@ def allocate_block(path: str | Path, dtype: np.dtype, shape: tuple[int, ...]) ->
 
 
 class MappedMatrix:
-    """A float64 matrix file, mapped once per process that holds it.
-
-    Pickles to its ``(path, shape, mode)`` and the receiver maps the
-    same file, so workers read and write the parent's on-disk step
-    matrices without copies.
-    """
+    """A float64 matrix file and its one mapping: the on-disk step
+    matrices that the tasks of out-of-core ``embed_all`` read and write."""
 
     def __init__(
         self, path: str | Path, shape: tuple[int, ...], mode: str = "r"
     ) -> None:
-        self.path, self.shape, self.mode = str(path), tuple(shape), mode
+        self.path, self.shape = str(path), tuple(shape)
         self.array = open_block(self.path, np.float64, self.shape, mode=mode)
-
-    def __reduce__(self):
-        return (MappedMatrix, (self.path, self.shape, self.mode))
 
 
 def write_block(path: str | Path, array: np.ndarray, dtype: np.dtype) -> int:
@@ -337,11 +330,6 @@ class ShardedCSR:
         self._owner = False
         _LIVE_DIRS.discard(str(self.path))
         shutil.rmtree(self.path, ignore_errors=True)
-
-    def __reduce__(self):
-        # Travels as its path: the receiver attaches its own
-        # (non-owner) handle.
-        return (ShardedCSR.open, (str(self.path),))
 
     def __enter__(self) -> "ShardedCSR":
         return self

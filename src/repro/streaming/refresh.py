@@ -27,8 +27,8 @@ close):
    rows are therefore the bytes a full pass gives them, at any
    ``batch_size``.
 
-Both passes run in process: the cached matrices live in RAM, and
-shipping them to worker processes costs more than it saves.
+Both passes run inline: the cached matrices live in RAM, and only the
+out-of-core pass over a shard store fans out.
 
 The affected set is propagated conservatively: a row is affected at step
 ``p`` if it is new, its adjacency changed (dirty), it was affected at

@@ -1,6 +1,7 @@
 """K-means variants: quality, invariants, and degenerate inputs."""
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -124,8 +125,10 @@ class TestRestartSelection:
 
         points = np.zeros((6, 2)) + np.arange(6)[:, None]
 
-        def fake_restart(task, context):
-            index, _ = task
+        calls = itertools.count()
+
+        def fake_restart(points_, n_clusters, config, rng):
+            index = next(calls)
             return km.KMeansResult(
                 centers=np.zeros((2, 2)),
                 labels=np.zeros(len(points), dtype=np.int64),
@@ -133,7 +136,7 @@ class TestRestartSelection:
                 n_iter=index,  # marker: which restart won
             )
 
-        monkeypatch.setattr(km, "_restart_task", fake_restart)
+        monkeypatch.setattr(km, "_restart", fake_restart)
         result = km.kmeans(points, 2, KMeansConfig(n_init=4), rng=0)
         assert result.n_iter == 0  # submission order breaks the tie
 
@@ -142,8 +145,10 @@ class TestRestartSelection:
 
         points = np.zeros((6, 2)) + np.arange(6)[:, None]
 
-        def fake_restart(task, context):
-            index, _ = task
+        calls = itertools.count()
+
+        def fake_restart(points_, n_clusters, config, rng):
+            index = next(calls)
             return km.KMeansResult(
                 centers=np.zeros((2, 2)),
                 labels=np.zeros(len(points), dtype=np.int64),
@@ -151,7 +156,7 @@ class TestRestartSelection:
                 n_iter=index,
             )
 
-        monkeypatch.setattr(km, "_restart_task", fake_restart)
+        monkeypatch.setattr(km, "_restart", fake_restart)
         result = km.kmeans(points, 2, KMeansConfig(n_init=4), rng=0)
         assert result.n_iter == 3  # lowest inertia, regardless of order
 

@@ -85,7 +85,7 @@ class TestOutput:
     def test_list_rules_prints_table(self, project, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPR101", "RPR201", "RPR301", "RPR401"):
+        for code in ("RPR101", "RPR202", "RPR301", "RPR401"):
             assert code in out
 
 

@@ -3,53 +3,6 @@
 from __future__ import annotations
 
 
-class TestUnpicklableTask:
-    def test_flags_lambda_to_pool_map(self, lint_codes):
-        codes = lint_codes(
-            """
-            def run(pool, chunks):
-                return pool.map(lambda task, ctx: task + 1, chunks)
-            """
-        )
-        assert codes == ["RPR201"]
-
-    def test_flags_lambda_to_map_async(self, lint_codes):
-        codes = lint_codes(
-            """
-            def run(pool, chunks):
-                return pool.map_async(lambda t: t, chunks).get()
-            """
-        )
-        assert codes == ["RPR201"]
-
-    def test_flags_nested_function_by_name(self, lint_codes):
-        codes = lint_codes(
-            """
-            def run(pool, chunks, bias):
-                def task(chunk, ctx):
-                    return chunk + bias
-                return pool.map(task, chunks)
-            """
-        )
-        assert codes == ["RPR201"]
-
-    def test_module_level_task_not_flagged(self, lint_codes):
-        codes = lint_codes(
-            """
-            def _chunk_task(task, ctx):
-                return task + 1
-
-            def run(pool, chunks):
-                return pool.map(_chunk_task, chunks)
-            """
-        )
-        assert codes == []
-
-    def test_builtin_map_with_lambda_not_flagged(self, lint_codes):
-        # Only pool-style .map methods are in scope; builtin map is fine.
-        assert lint_codes("doubled = map(lambda x: x * 2, [1, 2])\n") == []
-
-
 class TestTaskMutatesGlobal:
     def test_flags_global_statement_in_task(self, lint_codes):
         codes = lint_codes(

@@ -119,13 +119,13 @@ class TestExportEdgeCases:
         with obs.observe() as session:
             obs.counter_add("c", 2)
             obs.observe_value("h", 1.0)
-            obs.gauge_set("peak", 7.0, merge="max")
+            obs.gauge_set("peak", 7.0)
         path = obs.write_metrics_json(session.registry, tmp_path / "m.json")
         doc = json.loads(path.read_text())
         assert doc["schema"] == obs.TRACE_SCHEMA
         assert doc["metrics"]["counters"]["c"] == 2
         assert doc["metrics"]["histograms"]["h"]["p50"] > 0
-        assert doc["metrics"]["gauge_policies"]["peak"] == "max"
+        assert doc["metrics"]["gauges"]["peak"] == 7.0
 
 
 class TestMonitorCounterEvents:

@@ -1,5 +1,8 @@
 """Metrics registry: counters, gauges, histograms, global fast path."""
 
+import sys
+import threading
+
 import pytest
 
 from repro import obs
@@ -39,6 +42,32 @@ class TestRegistry:
         snap = reg.snapshot()
         assert list(snap["counters"]) == ["a", "b"]
         json.dumps(snap)  # must be serialisable
+
+    def test_concurrent_updates_are_all_kept(self):
+        # The pool's worker threads record into one registry at once; a
+        # short switch interval makes a lost read-modify-write likely.
+        reg = MetricsRegistry()
+
+        def record():
+            for i in range(5000):
+                reg.counter_add("hits")
+                reg.observe("sizes", i % 7)
+
+        threads = [threading.Thread(target=record) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        snap = reg.snapshot()
+        assert snap["counters"]["hits"] == 20000
+        assert snap["histograms"]["sizes"]["count"] == 20000
+        assert sum(snap["histograms"]["sizes"]["buckets"].values()) == 20000
 
 
 class TestPercentileHistograms:
@@ -87,29 +116,6 @@ class TestPercentileHistograms:
             assert bucket_index(v) == idx
             rep = bucket_value(idx)
             assert rep == pytest.approx(v, rel=1.0 / 16)
-
-
-class TestGaugePolicies:
-    def test_default_policy_not_recorded(self):
-        reg = MetricsRegistry()
-        reg.gauge_set("depth", 3.0)
-        assert reg.snapshot()["gauge_policies"] == {}
-
-    def test_max_policy_recorded_in_snapshot(self):
-        reg = MetricsRegistry()
-        reg.gauge_set("peak", 10.0, merge="max")
-        assert reg.snapshot()["gauge_policies"] == {"peak": "max"}
-
-    def test_unknown_policy_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.gauge_set("g", 1.0, merge="sum")
-
-    def test_local_set_is_still_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.gauge_set("peak", 10.0, merge="max")
-        reg.gauge_set("peak", 4.0, merge="max")
-        assert reg.gauges["peak"] == 4.0  # policy governs merge, not set
 
 
 class TestModuleFastPath:

@@ -1,10 +1,9 @@
-"""WorkerPool semantics: serial fallback, ordering, obs merge, timeouts,
-worker death."""
+"""WorkerPool semantics: serial fallback, ordering, shared context,
+task failures and observability on worker threads."""
 
 import os
-import signal
+import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,49 +12,32 @@ import repro.obs as obs
 from repro.obs.metrics import counter_add
 from repro.obs.trace import span
 from repro.parallel import WorkerPool, get_pool
-from repro.shard import active_shard_dirs
 
 
-# Task functions must be module-level so worker processes can resolve
-# them by reference.
 def _double(task, context):
     return task * 2
 
 
-def _pid_task(task, context):
-    return os.getpid()
+def _thread_task(task, context):
+    return os.getpid(), threading.get_ident()
 
 
-def _context_sum(task, context):
-    return float(np.asarray(context).sum()) + task
+def _context_id(task, context):
+    return id(context), float(context.sum()) + task
 
 
-def _sleepy(task, context):
-    time.sleep(task)
+def _boom_from_one(task, context):
+    if task >= 1:
+        raise ValueError(f"task {task} failed")
     return task
 
 
-def _boom(task, context):
-    raise ValueError(f"task {task} failed")
-
-
-def _die_on_zero(task, context):
+def _fail_first_or_finish_late(task, context):
     if task == 0:
-        os.kill(os.getpid(), signal.SIGKILL)
+        raise ValueError("task 0 failed")
+    time.sleep(0.2)
+    context.append(task)
     return task
-
-
-def _shm_entries():
-    shm = Path("/dev/shm")
-    return set(os.listdir(shm)) if shm.is_dir() else set()
-
-
-def _alive(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
 
 
 def _counted(task, context):
@@ -64,12 +46,18 @@ def _counted(task, context):
         return task
 
 
+def _count_many(task, context):
+    for _ in range(2000):
+        counter_add("test.pool.increments", 1)
+    return task
+
+
 class TestSerialFallback:
     def test_workers_one_never_spawns(self):
         pool = WorkerPool(1)
         assert not pool.parallel
         assert pool.map(_double, range(10)) == [t * 2 for t in range(10)]
-        assert pool._pool is None  # no process pool was ever created
+        assert pool._pool is None  # no thread pool was ever created
 
     def test_empty_tasks(self):
         assert WorkerPool(1).map(_double, []) == []
@@ -92,47 +80,35 @@ class TestParallelMap:
         with WorkerPool(2) as pool:
             assert pool.map(_double, range(50)) == [t * 2 for t in range(50)]
 
-    def test_runs_in_worker_processes(self):
+    def test_runs_on_worker_threads(self):
         with WorkerPool(2) as pool:
-            pids = set(pool.map(_pid_task, range(8)))
-        assert os.getpid() not in pids
+            seen = set(pool.map(_thread_task, range(8)))
+        assert {pid for pid, _ in seen} == {os.getpid()}
+        assert threading.get_ident() not in {ident for _, ident in seen}
 
     def test_large_context_broadcast(self):
-        # 1.6 MB context exceeds the inline threshold -> shared-memory
-        # broadcast path, deserialised once per worker.
+        # Every task sees the caller's one context object, not a copy.
         context = np.ones(200_000)
         with WorkerPool(2) as pool:
-            results = pool.map(_context_sum, [1, 2, 3], context=context)
-        assert results == [200_001.0, 200_002.0, 200_003.0]
+            results = pool.map(_context_id, [1, 2, 3], context=context)
+        assert results == [(id(context), 200_000.0 + t) for t in (1, 2, 3)]
 
     def test_worker_exception_propagates(self):
         with WorkerPool(2) as pool:
-            with pytest.raises(ValueError, match="failed"):
-                pool.map(_boom, range(3))
+            # The first failure in task order fails the map.
+            with pytest.raises(ValueError, match="task 1 failed"):
+                pool.map(_boom_from_one, range(4))
             # The pool survives task failures.
             assert pool.map(_double, [5]) == [10]
 
-    def test_timeout_raises_and_pool_recovers(self):
+    def test_failed_map_leaves_no_task_running(self):
+        # A task still running after its map raised could write rows or
+        # flip grad mode behind the caller's back.
+        finished = []
         with WorkerPool(2) as pool:
-            with pytest.raises(TimeoutError, match="timed out"):
-                pool.map(_sleepy, [5.0, 5.0], timeout=0.3)
-            # The wedged pool was terminated; the next map gets a new one.
-            assert pool.map(_double, [2]) == [4]
-
-    def test_killed_worker_fails_the_map_and_the_pool_recovers(self):
-        before = _shm_entries()
-        # Above the inline limit, so the context travels as a /dev/shm blob.
-        context = np.ones(200_000)
-        with WorkerPool(2) as pool:
-            # A hang would end in TimeoutError after 60 s; death must
-            # raise RuntimeError at once instead.
-            with pytest.raises(RuntimeError, match="'doomed'.*died"):
-                pool.map(_die_on_zero, range(4), context=context, timeout=60, label="doomed")
-            assert pool.map(_double, [1, 2]) == [2, 4]
-            pids = set(pool.map(_pid_task, range(8)))
-        assert _shm_entries() - before == set()
-        assert active_shard_dirs() == set()
-        assert not any(_alive(pid) for pid in pids)
+            with pytest.raises(ValueError, match="task 0 failed"):
+                pool.map(_fail_first_or_finish_late, [0, 1, 2], context=finished)
+            assert sorted(finished) == [1, 2]
 
     def test_shutdown_idempotent(self):
         pool = WorkerPool(2)
@@ -147,26 +123,29 @@ class TestParallelMap:
 @pytest.mark.parallel
 class TestObsPropagation:
     def test_counters_merge_into_parent(self):
+        # Tasks on both threads record into the caller's one registry;
+        # its lock keeps every increment.
         with WorkerPool(2) as pool:
             with obs.observe() as session:
-                pool.map(_counted, range(6), label="counted")
-            assert session.counter("test.pool.tasks") == 6
+                pool.map(_count_many, range(8), label="counted")
+            assert session.counter("test.pool.increments") == 8 * 2000
 
-    def test_spans_adopted_into_parent_trace(self):
+    def test_one_map_span_nests_under_the_open_span(self):
         with WorkerPool(2) as pool:
             with obs.observe() as session:
                 with obs.span("outer"):
-                    pool.map(_counted, range(4), label="counted")
-        names = [s.name for s, _ in session.tracer.all_spans()]
-        assert "parallel.map" in names
-        assert names.count("counted") == 4  # one adopted span per task
-        assert names.count("test.pool.inner") == 4  # nested worker spans
-        # Worker spans land under the parent's open span, not as roots.
-        assert [root.name for root in session.tracer.roots] == ["outer"]
+                    pool.map(_count_many, range(4), label="counted")
+        spans = [(s.name, depth) for s, depth in session.tracer.all_spans()]
+        assert spans == [("outer", 0), ("parallel.map", 1)]
+        (root,) = session.tracer.roots
+        assert root.children[0].attrs == {"label": "counted", "tasks": 4, "workers": 2}
 
     def test_serial_map_spans(self):
+        # Inline, the map's one span still covers its tasks, and a task's
+        # own spans nest under it.
         with obs.observe() as session:
             WorkerPool(1).map(_counted, range(3), label="counted")
         names = [s.name for s, _ in session.tracer.all_spans()]
-        assert names.count("counted") == 3
+        assert names == ["parallel.map"] + ["test.pool.inner"] * 3
+        assert session.tracer.roots[0].attrs["label"] == "counted"
         assert session.counter("test.pool.tasks") == 3
