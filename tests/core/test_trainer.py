@@ -116,3 +116,33 @@ class TestTraining:
             module, graph, TrainConfig(epochs=3, batch_size=64), rng=trainer_seed
         ).fit()
         assert [loss.hex() for loss in result.epoch_losses] == want
+
+    @pytest.mark.parametrize(
+        "variant, want",
+        [
+            (
+                {"similarity_head": "mlp"},
+                ["0x1.e0fe08d67a316p+2", "0x1.abf8361814e66p+2", "0x1.801d012f64ca3p+2"],
+            ),
+            (
+                {"similarity_head": "dot"},
+                ["0x1.06e480abddf4ep+3", "0x1.02ec55579e4c1p+3", "0x1.f8f71748d66cbp+2"],
+            ),
+            (
+                {"shared_space": True},
+                ["0x1.2c0f8400cc32ep+3", "0x1.08dbfb47f6a06p+3", "0x1.d91f1a9b77a0bp+2"],
+            ),
+        ],
+    )
+    def test_seeded_losses_pinned_per_variant(self, variant, want):
+        # The other similarity heads and the shared-space module, pinned
+        # like the hybrid head above (L2 and gradient clipping on).
+        from repro.graph.generators import random_bipartite
+
+        graph = random_bipartite(60, 50, 300, feature_dim=6, rng=2)
+        cfg = SageConfig(embedding_dim=8, neighbor_samples=(4, 3), **variant)
+        module = BipartiteGraphSAGE(6, 6, cfg, rng=5)
+        result = SageTrainer(
+            module, graph, TrainConfig(epochs=3, batch_size=64), rng=6
+        ).fit()
+        assert [loss.hex() for loss in result.epoch_losses] == want

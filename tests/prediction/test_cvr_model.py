@@ -63,6 +63,40 @@ class TestTraining:
         assert np.all(np.isfinite(model.predict_proba(x)))
 
 
+class TestPinnedLosses:
+    @pytest.mark.parametrize(
+        "options, want",
+        [
+            (
+                {"dropout": 0.0},
+                ["0x1.bbd7c2d39aa72p-1", "0x1.b17fc939eb673p-1", "0x1.a7d6af6ee1322p-1"],
+            ),
+            (
+                {"dropout": 0.3},
+                ["0x1.c2ff672d8a256p-1", "0x1.bf2ac6c3798b0p-1", "0x1.c227bc79f869dp-1"],
+            ),
+            (
+                {"optimizer": "sgd", "gradient_clip": 0.5},
+                ["0x1.bf6ac550407cbp-1", "0x1.beab6521dc378p-1", "0x1.bd702bbf5cb2dp-1"],
+            ),
+            (
+                {"optimizer": "adagrad", "dropout": 0.2},
+                ["0x1.bcb4ecc9958eap-1", "0x1.b785a14d46d85p-1", "0x1.cb0eb014365dbp-1"],
+            ),
+        ],
+    )
+    def test_seeded_losses_pinned(self, options, want):
+        # Exact per-epoch losses of Eq. 7's training loop (L2 on, Adam
+        # unless named): any change to the forward, the backward or the
+        # optimiser's arithmetic moves them.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(300, 10))
+        y = (x[:, 0] - x[:, 1] * x[:, 2] + rng.normal(scale=0.5, size=300) > 0).astype(float)
+        cfg = CVRTrainConfig(hidden=(16, 8), epochs=3, batch_size=64, **options)
+        _, result = train_cvr_model(x, y, cfg, rng=3)
+        assert [loss.hex() for loss in result.epoch_losses] == want
+
+
 class TestConfig:
     def test_invalid_epochs(self):
         with pytest.raises(ValueError):
