@@ -93,24 +93,32 @@ def _aggregate(stacked: Tensor, valid: np.ndarray, agg: str) -> Tensor:
 _SIDES = ("user", "item")
 
 
-def _frontier(id_arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Sorted unique ids across ``id_arrays``; -1 (padding) maps to 0.
+def _frontier(n: int, id_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique ids across ``id_arrays`` over a side of ``n``
+    vertices, with their rank array; -1 (padding) maps to 0.
 
-    Mapping padding onto a real vertex keeps every lookup in range; the
-    padded rows are masked out by their consumers.
+    Both come from one boolean mask of the side: the ids are its set
+    positions and ``rank[v]`` (``cumsum(mask) - 1``) is vertex ``v``'s
+    row in the frontier, so no sort or search runs.  Mapping padding onto
+    a real vertex keeps every lookup in range; the padded rows are masked
+    out by their consumers.
     """
-    ids = np.concatenate([np.empty(0, dtype=np.int64), *(np.ravel(a) for a in id_arrays)])
-    return np.unique(np.where(ids >= 0, ids, 0))
+    mask = np.zeros(n, dtype=bool)
+    for ids in id_arrays:
+        ids = np.ravel(ids)
+        mask[np.where(ids >= 0, ids, 0)] = True
+    return np.flatnonzero(mask), np.cumsum(mask) - 1
 
 
-def _rows(h: Tensor, frontier: np.ndarray, ids: np.ndarray) -> Tensor:
-    """Rows of ``h`` (indexed by the sorted ``frontier``) for ``ids``.
+def _rows(h: Tensor, rank: np.ndarray, ids: np.ndarray) -> Tensor:
+    """Rows of ``h`` (indexed by a frontier with rank array ``rank``) for
+    ``ids``.
 
     ``ids`` may be any shape; rows come back flat in its order, with -1
     ids reading vertex 0's row (callers mask them).
     """
     flat = ids.reshape(-1)
-    return h.gather_rows(np.searchsorted(frontier, np.where(flat >= 0, flat, 0)))
+    return h.gather_rows(rank[np.where(flat >= 0, flat, 0)])
 
 
 def _zero_padding(rows: Tensor, ids: np.ndarray) -> Tensor:
@@ -334,13 +342,16 @@ class BipartiteGraphSAGE(Module):
             "user": [np.asarray(ids, dtype=np.int64) for ids in users],
             "item": [np.asarray(ids, dtype=np.int64) for ids in items],
         }
-        # Top-down plan: frontiers[p] holds the step-p vertex ids of each
-        # side; draws[p] the neighbours sampled for them (step p >= 1).
-        frontiers = {steps: {side: _frontier(reqs) for side, reqs in requests.items()}}
+        # Top-down plan: frontiers[p] holds the step-p (ids, rank) of each
+        # side; draws[p] the neighbours sampled for its ids (step p >= 1).
+        sizes = {"user": graph.num_users, "item": graph.num_items}
+        frontiers = {
+            steps: {side: _frontier(sizes[side], reqs) for side, reqs in requests.items()}
+        }
         draws = {}
         for step in range(steps, 0, -1):
             fanout = cfg.neighbor_samples[steps - step]
-            top = frontiers[step]
+            top = {side: ids for side, (ids, _) in frontiers[step].items()}
             for side in _SIDES:
                 counter_add("sage.vertices_embedded", len(top[side]))
                 if len(top[side]):
@@ -350,13 +361,13 @@ class BipartiteGraphSAGE(Module):
                 for side in _SIDES
             }
             frontiers[step - 1] = {
-                "user": _frontier([top["user"], draws[step]["item"]]),
-                "item": _frontier([top["item"], draws[step]["user"]]),
+                side: _frontier(sizes[side], [top[side], draws[step][_OTHER[side]]])
+                for side in _SIDES
             }
 
         # Bottom-up: every step's matrices once, from the step below.
         h = {
-            side: Tensor(self._features(graph, side)[frontiers[0][side]])
+            side: Tensor(self._features(graph, side)[frontiers[0][side][0]])
             for side in _SIDES
         }
         for step in range(1, steps + 1):
@@ -365,15 +376,17 @@ class BipartiteGraphSAGE(Module):
                 side: self._layer(
                     step,
                     side,
-                    _rows(h[side], below[side], top[side]),
-                    _rows(h[other], below[other], draws[step][side]),
+                    _rows(h[side], below[side][1], top[side][0]),
+                    _rows(h[other], below[other][1], draws[step][side]),
                     draws[step][side] >= 0,
                 )
                 for side, other in (("user", "item"), ("item", "user"))
             }
-        top = frontiers[steps]
         return tuple(
-            [_zero_padding(_rows(h[side], top[side], ids), ids) for ids in requests[side]]
+            [
+                _zero_padding(_rows(h[side], frontiers[steps][side][1], ids), ids)
+                for ids in requests[side]
+            ]
             for side in _SIDES
         )
 

@@ -19,11 +19,10 @@ from repro.core.loss import EdgeSimilarityHead, bipartite_graph_loss
 from repro.core.sage import BipartiteGraphSAGE
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.sampling import NegativeSampler, sample_edge_batches
-from repro.nn.losses import l2_penalty
 from repro.obs import span
 from repro.obs.metrics import counter_add
 from repro.obs.monitor import heartbeat
-from repro.nn.optim import build_optimizer, clip_grad_norm
+from repro.nn.optim import build_optimizer
 from repro.utils.config import SageConfig, TrainConfig
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_rng, ensure_rng
@@ -65,9 +64,13 @@ class SageTrainer:
         self.negative_sampler = NegativeSampler(
             graph, distribution=cfg.negative_distribution, rng=derive_rng(self.rng, 2)
         )
-        params = self.module.parameters() + self.head.parameters()
+        # The module's parameters lead the optimiser's list: the run the L2
+        # penalty covers.
+        self._penalized = self.module.parameters()
         self.optimizer = build_optimizer(
-            self.train_config.optimizer, params, self.train_config.learning_rate
+            self.train_config.optimizer,
+            self._penalized + self.head.parameters(),
+            self.train_config.learning_rate,
         )
 
     def fit(self) -> SageTrainResult:
@@ -131,11 +134,12 @@ class SageTrainer:
             q_user_weight=float(cfg.negative_samples_user),
             q_item_weight=float(cfg.negative_samples_item),
         )
-        if cfg.l2 > 0:
-            loss = loss + l2_penalty(self.module.parameters(), cfg.l2)
         self.optimizer.zero_grad()
         loss.backward()
+        value = loss.item()
+        if cfg.l2 > 0:
+            value += self.optimizer.l2_penalty(self._penalized, cfg.l2)
         if self.train_config.gradient_clip:
-            clip_grad_norm(self.optimizer.params, self.train_config.gradient_clip)
+            self.optimizer.clip_grad_norm(self.train_config.gradient_clip)
         self.optimizer.step()
-        return loss.item()
+        return value

@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn import init as _init
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _sigmoid, is_grad_enabled
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -137,11 +137,9 @@ class Module:
                     f"shape mismatch for {name}: expected "
                     f"{own[name].data.shape}, got {array.shape}"
                 )
-            # Sanctioned .data write: loading replaces parameter values
-            # wholesale, outside any live graph.
-            own[name].data = (  # repro-lint: disable=RPR401
-                np.asarray(array, dtype=np.float64).copy()
-            )
+            # In place: a parameter packed by an optimiser stays a view of
+            # its buffer, so the loaded values are the ones it updates.
+            np.copyto(own[name].data, array)
 
     def __call__(self, *args: object, **kwargs: object) -> Tensor:
         return self.forward(*args, **kwargs)
@@ -274,7 +272,7 @@ class MLP(Module):
         self.net = Sequential(*layers)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.net(x)
+        return _mlp_node(x, self.net.layers)
 
 
 class Embedding(Module):
@@ -305,3 +303,117 @@ class Embedding(Module):
             )
         return self.weight.gather_rows(idx)
 
+
+def _leaky_relu_(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # max(z, 0.01 z) is z where z > 0 and 0.01 z elsewhere, -0.0 included,
+    # without np.where's per-element branch.
+    out = np.maximum(z, z * 0.01, out=z)
+    return out, out
+
+
+def _leaky_relu_backward_(g: np.ndarray, out: np.ndarray) -> None:
+    # out > 0 exactly where z > 0; 0.99 + 0.01 rounds to 1.0, so the
+    # factor is Tensor.leaky_relu's np.where(z > 0, 1.0, 0.01).
+    factor = np.multiply(out > 0, 0.99)
+    factor += 0.01
+    g *= factor
+
+
+def _relu_(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mask = z > 0
+    z *= mask
+    return z, mask
+
+
+def _tanh_(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    out = np.tanh(z, out=z)
+    return out, out
+
+
+def _sigmoid_(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    out = _sigmoid(z)
+    return out, out
+
+
+# In-place array forms of _ACTIVATIONS for the fused MLP node: a forward
+# overwrites (or replaces) its pre-activation and returns (output, saved);
+# a backward scales the gradient in place from what was saved.  Each does
+# the Tensor op's float operations (leaky_relu's backward multiplies by
+# 1.0 where positive, which is exact).
+_ARRAY_ACTIVATIONS = {
+    "relu": (_relu_, lambda g, mask: np.multiply(g, mask, out=g)),
+    "leaky_relu": (_leaky_relu_, _leaky_relu_backward_),
+    "tanh": (_tanh_, lambda g, out: np.multiply(g, 1.0 - out**2, out=g)),
+    "sigmoid": (
+        _sigmoid_,
+        lambda g, out: np.multiply(np.multiply(g, out, out=g), 1.0 - out, out=g),
+    ),
+    "identity": (lambda z: (z, None), None),
+}
+
+
+def _mlp_node(x: Tensor, layers: list[Module]) -> Tensor:
+    """An MLP's ``Linear -> Activation [-> Dropout]`` stack as one
+    autograd node.
+
+    The forward runs the layer loop in numpy, with bias adds and
+    activations in place; the backward is the stack's hand-derived VJP.
+    Both do the floating-point operations of the composed Tensor ops (the
+    oracle in ``tests/oracles.py``) in the same order, and the dropout
+    masks take the same draws, so outputs and gradients are bitwise
+    equal.  Under ``no_grad()`` nothing is kept for a backward.
+    """
+    params = [
+        p
+        for layer in layers
+        if isinstance(layer, Linear)
+        for p in (layer.weight, layer.bias)
+        if p is not None
+    ]
+    record = is_grad_enabled() and (x.requires_grad or any(p.requires_grad for p in params))
+    tape = []  # per Linear: [layer, input, activation, saved, dropout mask]
+    h = x.data
+    for layer in layers:
+        if isinstance(layer, Linear):
+            entry = [layer, h, "identity", None, None]
+            h = h @ layer.weight.data
+            if layer.bias is not None:
+                h += layer.bias.data
+            if record:
+                tape.append(entry)
+        elif isinstance(layer, Activation):
+            h, saved = _ARRAY_ACTIVATIONS[layer.name_][0](h)
+            if record:
+                tape[-1][2:4] = layer.name_, saved
+        elif isinstance(layer, Dropout):
+            if layer.training and layer.rate != 0.0:
+                keep = 1.0 - layer.rate
+                mask = (layer.rng.random(h.shape) < keep) / keep
+                h = h * mask
+                if record:
+                    tape[-1][4] = mask
+        else:
+            raise TypeError(f"MLP stack cannot hold {type(layer).__name__}")
+
+    def backward(grad: np.ndarray) -> None:
+        g, owned = grad, False
+        for i in range(len(tape) - 1, -1, -1):
+            layer, inputs, activation, saved, mask = tape[i]
+            if mask is not None or activation != "identity":
+                if not owned:
+                    g, owned = g.copy(), True
+                if mask is not None:
+                    g *= mask
+                if activation != "identity":
+                    _ARRAY_ACTIVATIONS[activation][1](g, saved)
+            weight, bias = layer.weight, layer.bias
+            if weight.requires_grad:
+                weight._accumulate(inputs.T @ g, owned=True)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(g.sum(axis=0), owned=True)
+            if i or x.requires_grad:
+                g, owned = g @ weight.data.T, True
+        if x.requires_grad:
+            x._accumulate(g, owned=True)
+
+    return Tensor._make(h, (x, *params), backward)

@@ -434,10 +434,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable piecewise formulation.
-        x = self.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, -500, None))),
-                            np.exp(np.clip(x, None, 500)) / (1.0 + np.exp(np.clip(x, None, 500))))
+        out_data = _sigmoid(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -542,6 +539,12 @@ class Tensor:
                 self._accumulate(_scatter_rows(idx, grad, self.data.shape), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable piecewise sigmoid."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, -500, None))),
+                    np.exp(np.clip(x, None, 500)) / (1.0 + np.exp(np.clip(x, None, 500))))
 
 
 def _scatter_rows(idx: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.nn.layers import MLP, Module
-from repro.nn.losses import binary_cross_entropy_with_logits, l2_penalty
-from repro.nn.optim import build_optimizer, clip_grad_norm
+from repro.nn.losses import binary_cross_entropy_with_logits
+from repro.nn.optim import build_optimizer
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import derive_rng, ensure_rng
 
@@ -127,13 +127,14 @@ def train_cvr_model(
             batch = order[start : start + config.batch_size]
             logits = model(Tensor(features[batch]))
             loss = binary_cross_entropy_with_logits(logits, labels[batch])
-            if config.l2 > 0:
-                loss = loss + l2_penalty(model.parameters(), config.l2)
             optimizer.zero_grad()
             loss.backward()
+            value = loss.item()
+            if config.l2 > 0:
+                value += optimizer.l2_penalty(optimizer.params, config.l2)
             if config.gradient_clip:
-                clip_grad_norm(model.parameters(), config.gradient_clip)
+                optimizer.clip_grad_norm(config.gradient_clip)
             optimizer.step()
-            losses.append(loss.item())
+            losses.append(value)
         result.epoch_losses.append(float(np.mean(losses)))
     return model, result

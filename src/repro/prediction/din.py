@@ -20,8 +20,8 @@ import numpy as np
 from repro.data.schema import EcommerceDataset
 from repro.graph.bipartite import BipartiteGraph
 from repro.nn.layers import MLP, Embedding, Module
-from repro.nn.losses import binary_cross_entropy_with_logits, l2_penalty
-from repro.nn.optim import build_optimizer, clip_grad_norm
+from repro.nn.losses import binary_cross_entropy_with_logits
+from repro.nn.optim import build_optimizer
 from repro.nn.tensor import Tensor, concat, no_grad
 from repro.prediction.cvr_model import CVRTrainConfig, CVRTrainResult
 from repro.utils.rng import derive_rng, ensure_rng
@@ -183,14 +183,15 @@ def train_din(
             )
             logits = model(histories[users], items, side)
             loss = binary_cross_entropy_with_logits(logits, labels[batch])
-            if train_config.l2 > 0:
-                loss = loss + l2_penalty(model.parameters(), train_config.l2)
             optimizer.zero_grad()
             loss.backward()
+            value = loss.item()
+            if train_config.l2 > 0:
+                value += optimizer.l2_penalty(optimizer.params, train_config.l2)
             if train_config.gradient_clip:
-                clip_grad_norm(model.parameters(), train_config.gradient_clip)
+                optimizer.clip_grad_norm(train_config.gradient_clip)
             optimizer.step()
-            losses.append(loss.item())
+            losses.append(value)
         result.epoch_losses.append(float(np.mean(losses)))
     return model, histories, result
 

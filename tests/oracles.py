@@ -82,6 +82,40 @@ def embed_naive(module, graph: BipartiteGraph, ids, step: int, side: str, key=()
     return _zero_padding(module._layer(step, side, own_prev, flat, neigh >= 0), ids)
 
 
+def frontier_unique(id_arrays) -> np.ndarray:
+    """Sorted unique ids across ``id_arrays`` by ``np.unique``; -1
+    (padding) maps to 0.  ``repro.core.sage._frontier``'s ids must equal
+    these."""
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *(np.ravel(a) for a in id_arrays)])
+    return np.unique(np.where(ids >= 0, ids, 0))
+
+
+def frontier_rows_searchsorted(frontier: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows of ``ids`` (flat, -1 read as 0) in the sorted ``frontier``, by
+    binary search.  ``rank[ids]`` of ``_frontier`` must equal these."""
+    flat = np.asarray(ids).reshape(-1)
+    return np.searchsorted(frontier, np.where(flat >= 0, flat, 0))
+
+
+def mlp_tensor_ops(mlp, x):
+    """``mlp``'s stack composed of Tensor ops, one autograd node per op:
+    ``x @ W``, ``+ b``, the activation of ``_ACTIVATIONS``, and inverted
+    dropout ``x * mask`` drawn from the Dropout module's generator.  The
+    fused node of ``MLP.forward`` must give these outputs and gradients,
+    bitwise, from the same draws."""
+    from repro.nn.layers import _ACTIVATIONS, Activation, Dropout, Linear
+
+    for layer in mlp.net.layers:
+        if isinstance(layer, Linear):
+            x = x @ layer.weight + layer.bias
+        elif isinstance(layer, Activation):
+            x = _ACTIVATIONS[layer.name_](x)
+        elif isinstance(layer, Dropout) and layer.training and layer.rate:
+            keep = 1.0 - layer.rate
+            x = x * ((layer.rng.random(x.shape) < keep) / keep)
+    return x
+
+
 def weighted_sample_loop(sampler, vertices, fanout: int, side: str) -> np.ndarray:
     """``NeighborSampler``'s weighted draws, one row at a time: each
     non-isolated row takes ``rng.random(fanout)`` and inverts its own

@@ -21,8 +21,8 @@ scheduling.  Three promises follow:
    the training block ``embed_block(graph, users=[u], items=[i])`` gives
    ``embed_all``'s rows for ``u`` and ``i``.
 
-Only the store pass fans out over worker processes, so ``WORKERS``
-applies to ``embed_all(store, workers=...)`` alone.
+Only the store pass fans out over the pool's worker threads, so
+``WORKERS`` applies to ``embed_all(store, workers=...)`` alone.
 
 The examples pin output widths whose BLAS kernels round a row
 differently with the number of rows in its call (``d % 8`` in 1..4 with
