@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
@@ -548,18 +549,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _scatter_rows(idx: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``np.add.at(np.zeros(shape), idx, rows)`` as one flat ``np.bincount``.
+    """``np.add.at(np.zeros(shape, rows.dtype), idx, rows)`` as one sparse
+    product.
 
-    ``bincount`` adds each weight into its bin in input order — the same
-    sequential order ``np.add.at`` uses — so the result is bitwise equal,
-    at a fraction of the cost of the ``ufunc.at`` loop.
+    ``S`` is ``shape[0] x len(idx)`` in CSC form with a single 1 at
+    ``(idx[j], j)``; ``S @ rows`` walks the columns in input order and
+    adds ``1 * rows[j]`` into row ``idx[j]`` — the sequential additions
+    of ``np.add.at`` — so the result is bitwise equal, in ``rows``' dtype,
+    without an index of ``len(idx) * width`` entries.
     """
-    n = shape[0]
+    n, m = shape[0], len(idx)
     width = int(np.prod(shape[1:], dtype=np.int64))
     idx = np.where(idx < 0, idx + n, idx)
-    flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
-    summed = np.bincount(flat, weights=rows.reshape(-1), minlength=n * width)
-    return summed.reshape(shape)
+    ones = np.ones(m, dtype=rows.dtype)
+    select = sparse.csc_matrix((ones, idx, np.arange(m + 1)), shape=(n, m))
+    return (select @ rows.reshape(m, width)).reshape(shape)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:

@@ -1,19 +1,21 @@
-"""``Tensor.gather_rows`` backward: a flat ``np.bincount`` scatter.
+"""``Tensor.gather_rows`` backward: one sparse-product scatter.
 
 The backward pass must be bitwise equal to the ``np.add.at`` reference
-it replaced — same sequential additions into each row, in index order —
-for any table rank, duplicated indices, negative (wrapped) indices and
-empty index arrays.
+it replaced — same sequential additions into each row, in index order,
+in the gradient's own dtype — for float64 and float32, any table rank,
+duplicated indices, negative (wrapped) indices and empty index arrays.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _scatter_rows
+
+DTYPES = [np.float64, np.float32]
 
 
 def _reference(shape, idx, grad):
-    full = np.zeros(shape)
+    full = np.zeros(shape, dtype=grad.dtype)
     np.add.at(full, idx, grad)
     return full
 
@@ -22,6 +24,11 @@ def _backward(table, idx, grad):
     t = Tensor(table, requires_grad=True)
     t.gather_rows(idx).backward(grad)
     return t.grad
+
+
+def _assert_same(got, want):
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -48,27 +55,35 @@ class TestScatterMatchesAddAt:
     @given(_cases())
     def test_bitwise_equal_to_add_at(self, case):
         shape, idx, grad = case
-        got = _backward(np.zeros(shape), idx, grad)
-        want = _reference(shape, idx, grad)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        _assert_same(_backward(np.zeros(shape), idx, grad), _reference(shape, idx, grad))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cases())
+    def test_float32_bitwise_equal_to_add_at(self, case):
+        shape, idx, grad = case
+        grad = grad.astype(np.float32)
+        _assert_same(_scatter_rows(idx, grad, shape), _reference(shape, idx, grad))
 
     def test_empty_index(self):
+        for dtype in DTYPES:
+            got = _scatter_rows(np.array([], dtype=np.int64), np.zeros((0, 3), dtype), (4, 3))
+            assert (got.shape, got.dtype) == ((4, 3), dtype) and not got.any()
         got = _backward(np.ones((4, 3)), np.array([], dtype=np.int64), np.zeros((0, 3)))
         assert got.shape == (4, 3) and not got.any()
 
     def test_one_dimensional_table(self):
         idx = np.array([2, 0, 2, 2, -1])
-        grad = np.array([1e16, 3.0, 1.0, -1e16, 0.5])
-        got = _backward(np.zeros(4), idx, grad)
-        assert got.tobytes() == _reference((4,), idx, grad).tobytes()
+        for dtype, big in zip(DTYPES, (1e16, 1e8)):
+            grad = np.array([big, 3.0, 1.0, -big, 0.5], dtype=dtype)
+            _assert_same(_scatter_rows(idx, grad, (4,)), _reference((4,), idx, grad))
 
     def test_three_dimensional_table(self):
         rng = np.random.default_rng(0)
-        idx = rng.integers(0, 3, size=50)
+        idx = rng.integers(-3, 3, size=50)
         grad = rng.normal(size=(50, 2, 5)) * 10.0 ** rng.integers(-6, 7, size=(50, 2, 5))
-        got = _backward(np.zeros((3, 2, 5)), idx, grad)
-        assert got.tobytes() == _reference((3, 2, 5), idx, grad).tobytes()
+        for dtype in DTYPES:
+            got = _scatter_rows(idx, grad.astype(dtype), (3, 2, 5))
+            _assert_same(got, _reference((3, 2, 5), idx, grad.astype(dtype)))
 
     def test_accumulates_into_existing_grad(self):
         t = Tensor(np.zeros((3, 2)), requires_grad=True)
