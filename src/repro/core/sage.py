@@ -42,6 +42,10 @@ of a subset of rows all give the same bytes.  Step matrices live in RAM
 for graphs and in memory-mapped files for stores, whose tasks alone fan
 out over the pool's worker threads (they write disjoint rows, and their
 numpy and BLAS calls release the GIL).
+
+Everything is computed in the parameters' dtype (float32 from
+``repro.nn.init``): the float64 features are cast where they enter, so
+step matrices, their memmaps and every embedding handed out are float32.
 """
 
 from __future__ import annotations
@@ -74,19 +78,20 @@ def _aggregate(stacked: Tensor, valid: np.ndarray, agg: str) -> Tensor:
     # Masking with all-ones is exact, so it is skipped when every slot
     # is valid (the common case: isolated vertices are rare).
     all_valid = valid.all()
+    dtype = stacked.data.dtype
     if agg == "max":
         if all_valid:
             return stacked.max(axis=1)
-        neg_inf = Tensor(np.full(stacked.shape, -1e30))
+        neg_inf = Tensor(np.full(stacked.shape, -1e30, dtype=dtype))
         out = where(valid[:, :, None], stacked, neg_inf).max(axis=1)
-        return out * valid.any(axis=1)[:, None].astype(float)
+        return out * valid.any(axis=1)[:, None].astype(dtype)
     if agg not in ("mean", "sum"):
         raise ValueError(f"unknown aggregator {agg!r}")
-    masked = stacked if all_valid else stacked * valid.astype(float)[:, :, None]
+    masked = stacked if all_valid else stacked * valid.astype(dtype)[:, :, None]
     summed = masked.sum(axis=1)
     if agg == "sum":
         return summed
-    counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(float)
+    counts = np.maximum(valid.sum(axis=1, keepdims=True), 1).astype(dtype)
     return summed * (1.0 / counts)
 
 
@@ -124,7 +129,7 @@ def _rows(h: Tensor, rank: np.ndarray, ids: np.ndarray) -> Tensor:
 def _zero_padding(rows: Tensor, ids: np.ndarray) -> Tensor:
     """Zero the rows of -1 ids (skipped when there are none)."""
     mask = ids >= 0
-    return rows if mask.all() else rows * mask[:, None].astype(float)
+    return rows if mask.all() else rows * mask[:, None].astype(rows.data.dtype)
 
 
 def _chunk_plan(n: int, batch_size: int, rows: np.ndarray | None) -> list[np.ndarray]:
@@ -161,7 +166,7 @@ def _tiled_matmul(a: Tensor, w: Tensor | np.ndarray) -> Tensor:
     the plain 2-D matmul VJP; tiling only fixes the forward's rounding."""
     w = w if isinstance(w, Tensor) else Tensor(w)
     n, k = a.shape
-    tiles = np.zeros((-(-n // _TILE), _TILE, k))
+    tiles = np.zeros((-(-n // _TILE), _TILE, k), dtype=a.data.dtype)
     tiles.reshape(-1, k)[:n] = a.data
     out = (tiles @ w.data).reshape(-1, w.shape[1])[:n]
 
@@ -204,15 +209,18 @@ def _chunk_kernel(
 
     ``own`` holds the vertices' step-``p-1`` rows, ``neigh`` their
     sampled neighbours as row ids of ``other_prev`` (-1 for none),
-    ``params`` the step's weights as arrays.
+    ``params`` the step's weights as arrays.  Rows enter in the weights'
+    dtype (step 0 reads the float64 features).
     """
     valid = neigh >= 0
+    dtype = params["w_w"].dtype
     # Grad mode is one module global, not per thread.  Parallel maps run
     # only inside embed_all's no_grad(), so on every worker thread this
     # saves and restores False.
     with no_grad():
-        stacked = Tensor(other_prev[np.where(valid, neigh, 0)])
-        return _sage_step(Tensor(own), stacked, valid, params).data
+        stacked = Tensor(other_prev[np.where(valid, neigh, 0)].astype(dtype, copy=False))
+        own = Tensor(own.astype(dtype, copy=False))
+        return _sage_step(own, stacked, valid, params).data
 
 
 def _chunk_task(rows: np.ndarray, context: tuple) -> np.ndarray | None:
@@ -365,9 +373,11 @@ class BipartiteGraphSAGE(Module):
                 for side in _SIDES
             }
 
-        # Bottom-up: every step's matrices once, from the step below.
+        # Bottom-up: every step's matrices once, from the step below; the
+        # features enter in the parameters' dtype.
+        dtype = self.dtype
         h = {
-            side: Tensor(self._features(graph, side)[frontiers[0][side][0]])
+            side: Tensor(self._features(graph, side)[frontiers[0][side][0]].astype(dtype))
             for side in _SIDES
         }
         for step in range(1, steps + 1):
@@ -404,8 +414,8 @@ class BipartiteGraphSAGE(Module):
         recursion's O(N·K_1·...·K_P·d).  Called at every HiGNN level
         (Algorithm 1).
 
-        ``source`` is a ``BipartiteGraph`` (step matrices in RAM;
-        ndarrays come back) or a ``ShardedCSR`` store (out of core: step
+        Rows are in the parameters' dtype.  ``source`` is a
+        ``BipartiteGraph`` (step matrices in RAM; ndarrays come back) or a ``ShardedCSR`` store (out of core: step
         matrices double-buffered in memmaps under ``<store>/embed``;
         read-only memmaps come back and stay valid across later calls).
         Neighbours come from the per-vertex counter hash rooted at
@@ -440,7 +450,7 @@ class BipartiteGraphSAGE(Module):
                 )
         self.train()
         if on_disk:  # read-only views of the last step's files
-            return tuple(open_block(h[s].path, np.float64, h[s].shape) for s in _SIDES)
+            return tuple(open_block(h[s].path, h[s].dtype, h[s].shape) for s in _SIDES)
         return h["user"], h["item"]
 
     # ------------------------------------------------------------------
@@ -461,7 +471,7 @@ class BipartiteGraphSAGE(Module):
             raise ValueError(f"{side} features have dim {dim}, module expects {expected}")
         if isinstance(source, BipartiteGraph):
             return feats
-        return MappedMatrix(source.feature_path(side), (source.num(side), dim))
+        return source.features(side)
 
     def _layer(
         self,
@@ -534,7 +544,7 @@ class BipartiteGraphSAGE(Module):
             if out is not None:
                 new[side] = out[side]
                 continue
-            new[side] = np.empty((n, cfg.embedding_dim), dtype=np.float64)
+            new[side] = np.empty((n, cfg.embedding_dim), dtype=self.dtype)
             if cached is not None:
                 new[side][: len(cached[side])] = cached[side]
             for pick, block in zip(plan, blocks):
@@ -567,6 +577,6 @@ class BipartiteGraphSAGE(Module):
         for side in _SIDES:
             path = work / f"h_{side}_{step % 2}.bin"
             shape = (store.num(side), self.config.embedding_dim)
-            allocate_block(path, np.float64, shape)
-            files[side] = MappedMatrix(path, shape, mode="r+")
+            allocate_block(path, self.dtype, shape)
+            files[side] = MappedMatrix(path, shape, self.dtype, mode="r+")
         return files

@@ -1,4 +1,9 @@
-"""Weight initialisation schemes."""
+"""Weight initialisation schemes.
+
+Every scheme returns float32 arrays: parameters are float32, and the
+compute dtype of a model follows its parameters.  The draws are the
+float64 draws of the generator, rounded once.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ def xavier_uniform(
     rng = ensure_rng(rng)
     fan_in, fan_out = _fans(shape)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 def xavier_normal(
@@ -26,7 +31,7 @@ def xavier_normal(
     rng = ensure_rng(rng)
     fan_in, fan_out = _fans(shape)
     std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
+    return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
 def he_normal(
@@ -35,7 +40,7 @@ def he_normal(
     """He/Kaiming normal init for ReLU-family activations: N(0, 2/fan_in)."""
     rng = ensure_rng(rng)
     fan_in, _ = _fans(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
 
 
 def normal(
@@ -44,12 +49,12 @@ def normal(
     rng: int | np.random.Generator | None = None,
 ) -> np.ndarray:
     """Plain N(0, std^2) init (used for embedding tables)."""
-    return ensure_rng(rng).normal(0.0, std, size=shape)
+    return ensure_rng(rng).normal(0.0, std, size=shape).astype(np.float32)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero init (biases)."""
-    return np.zeros(shape)
+    return np.zeros(shape, dtype=np.float32)
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

@@ -89,6 +89,14 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the first parameter: the compute dtype that the
+        model casts its inputs to."""
+        for _, p in self._named_parameters_impl():
+            return p.data.dtype
+        raise ValueError(f"{type(self).__name__} has no parameters")
+
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
@@ -217,9 +225,7 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not self.training or self.rate == 0.0:
             return x
-        keep = 1.0 - self.rate
-        mask = (self.rng.random(x.shape) < keep) / keep
-        return x * mask
+        return x * _dropout_mask(self, x.shape, x.data.dtype)
 
 
 class Sequential(Module):
@@ -311,10 +317,17 @@ def _leaky_relu_(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, out
 
 
+def _dropout_mask(layer: "Dropout", shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """Inverted-dropout scale factors in ``dtype``, from the layer's generator."""
+    keep = 1.0 - layer.rate
+    return ((layer.rng.random(shape) < keep) / keep).astype(dtype, copy=False)
+
+
 def _leaky_relu_backward_(g: np.ndarray, out: np.ndarray) -> None:
-    # out > 0 exactly where z > 0; 0.99 + 0.01 rounds to 1.0, so the
-    # factor is Tensor.leaky_relu's np.where(z > 0, 1.0, 0.01).
-    factor = np.multiply(out > 0, 0.99)
+    # out > 0 exactly where z > 0; 0.99 + 0.01 rounds to 1.0 (in float32
+    # and float64), so the factor is 1 where z > 0 and 0.01 elsewhere,
+    # Tensor.leaky_relu's factors, in g's dtype.
+    factor = np.multiply(out > 0, 0.99, dtype=g.dtype)
     factor += 0.01
     g *= factor
 
@@ -352,27 +365,16 @@ _ARRAY_ACTIVATIONS = {
 }
 
 
-def _mlp_node(x: Tensor, layers: list[Module]) -> Tensor:
-    """An MLP's ``Linear -> Activation [-> Dropout]`` stack as one
-    autograd node.
+def _stack_forward(h: np.ndarray, layers: list[Module], record: bool) -> tuple[np.ndarray, list]:
+    """Run ``Linear``, ``Activation`` and ``Dropout`` layers over ``h`` in
+    numpy, bias adds and activations in place; returns the output and,
+    if ``record``, the tape :func:`_stack_backward` reads.
 
-    The forward runs the layer loop in numpy, with bias adds and
-    activations in place; the backward is the stack's hand-derived VJP.
-    Both do the floating-point operations of the composed Tensor ops (the
-    oracle in ``tests/oracles.py``) in the same order, and the dropout
-    masks take the same draws, so outputs and gradients are bitwise
-    equal.  Under ``no_grad()`` nothing is kept for a backward.
+    Tape entry 0 stands for the input: an activation (or dropout) before
+    the first ``Linear`` applies to ``h`` itself, a pre-activation the
+    caller computed.
     """
-    params = [
-        p
-        for layer in layers
-        if isinstance(layer, Linear)
-        for p in (layer.weight, layer.bias)
-        if p is not None
-    ]
-    record = is_grad_enabled() and (x.requires_grad or any(p.requires_grad for p in params))
-    tape = []  # per Linear: [layer, input, activation, saved, dropout mask]
-    h = x.data
+    tape = [[None, None, "identity", None, None]]  # [layer, input, activation, saved, mask]
     for layer in layers:
         if isinstance(layer, Linear):
             entry = [layer, h, "identity", None, None]
@@ -387,32 +389,70 @@ def _mlp_node(x: Tensor, layers: list[Module]) -> Tensor:
                 tape[-1][2:4] = layer.name_, saved
         elif isinstance(layer, Dropout):
             if layer.training and layer.rate != 0.0:
-                keep = 1.0 - layer.rate
-                mask = (layer.rng.random(h.shape) < keep) / keep
+                mask = _dropout_mask(layer, h.shape, h.dtype)
                 h = h * mask
                 if record:
                     tape[-1][4] = mask
         else:
             raise TypeError(f"MLP stack cannot hold {type(layer).__name__}")
+    return h, tape
+
+
+def _stack_backward(grad: np.ndarray, tape: list, input_grad: bool) -> np.ndarray | None:
+    """The VJP of a recorded stack: accumulates each ``Linear``'s weight
+    and bias gradients and returns the gradient of the stack's input
+    (None unless ``input_grad``).  The floating-point operations are the
+    composed Tensor ops' backward, in the same order."""
+    g, owned = grad, False
+    for i in range(len(tape) - 1, -1, -1):
+        layer, inputs, activation, saved, mask = tape[i]
+        if mask is not None or activation != "identity":
+            if not owned:
+                g, owned = g.copy(), True
+            if mask is not None:
+                g *= mask
+            if activation != "identity":
+                _ARRAY_ACTIVATIONS[activation][1](g, saved)
+        if layer is None:
+            break
+        weight, bias = layer.weight, layer.bias
+        if weight.requires_grad:
+            weight._accumulate(inputs.T @ g, owned=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0), owned=True)
+        if i > 1 or input_grad:
+            g, owned = g @ weight.data.T, True
+    return g if input_grad else None
+
+
+def _linear_params(layers: list[Module]) -> list[Parameter]:
+    """The weights and biases of a stack's ``Linear`` layers, in order."""
+    return [
+        p
+        for layer in layers
+        if isinstance(layer, Linear)
+        for p in (layer.weight, layer.bias)
+        if p is not None
+    ]
+
+
+def _mlp_node(x: Tensor, layers: list[Module]) -> Tensor:
+    """An MLP's ``Linear -> Activation [-> Dropout]`` stack as one
+    autograd node.
+
+    The forward runs the layer loop in numpy (:func:`_stack_forward`);
+    the backward is the stack's hand-derived VJP (:func:`_stack_backward`).
+    Both do the floating-point operations of the composed Tensor ops (the
+    oracle in ``tests/oracles.py``) in the same order, and the dropout
+    masks take the same draws, so outputs and gradients are bitwise
+    equal.  Under ``no_grad()`` nothing is kept for a backward.
+    """
+    params = _linear_params(layers)
+    record = is_grad_enabled() and (x.requires_grad or any(p.requires_grad for p in params))
+    h, tape = _stack_forward(x.data, layers, record)
 
     def backward(grad: np.ndarray) -> None:
-        g, owned = grad, False
-        for i in range(len(tape) - 1, -1, -1):
-            layer, inputs, activation, saved, mask = tape[i]
-            if mask is not None or activation != "identity":
-                if not owned:
-                    g, owned = g.copy(), True
-                if mask is not None:
-                    g *= mask
-                if activation != "identity":
-                    _ARRAY_ACTIVATIONS[activation][1](g, saved)
-            weight, bias = layer.weight, layer.bias
-            if weight.requires_grad:
-                weight._accumulate(inputs.T @ g, owned=True)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(g.sum(axis=0), owned=True)
-            if i or x.requires_grad:
-                g, owned = g @ weight.data.T, True
+        g = _stack_backward(grad, tape, x.requires_grad)
         if x.requires_grad:
             x._accumulate(g, owned=True)
 

@@ -2,7 +2,8 @@
 
 ``binary_cross_entropy_with_logits`` implements the numerically stable
 log-loss used both for the unsupervised edge-reconstruction objective
-(Eq. 5 / Eq. 12) and for the supervised CVR head (Eq. 7).
+(Eq. 5 / Eq. 12) and for the supervised CVR head (Eq. 7).  Targets and
+weights take the dtype of the predictions they meet.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ def binary_cross_entropy_with_logits(
     ``weights`` optionally re-weights each sample (used for the
     gamma-weighted negative terms of Eq. 5).
     """
-    y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
     x = logits
+    y = _constant(targets, x)
     relu_x = x.relu()
     loss = relu_x - x * y + (1.0 + (-x.abs()).exp()).log()
     if weights is not None:
-        loss = loss * np.asarray(weights, dtype=np.float64)
+        loss = loss * _constant(weights, x)
     return _reduce(loss, reduction)
 
 
@@ -46,7 +47,7 @@ def binary_cross_entropy(
     reduction: str = "mean",
 ) -> Tensor:
     """BCE on probabilities already passed through a sigmoid (Eq. 7)."""
-    y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
+    y = _constant(targets, probs)
     p = probs.clip(eps, 1.0 - eps)
     loss = -(y * p.log() + (1.0 - y) * (1.0 - p).log())
     return _reduce(loss, reduction)
@@ -54,8 +55,7 @@ def binary_cross_entropy(
 
 def mse_loss(pred: Tensor, target: np.ndarray | Tensor, reduction: str = "mean") -> Tensor:
     """Mean squared error."""
-    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
-    diff = pred - t
+    diff = pred - _constant(target, pred)
     return _reduce(diff * diff, reduction)
 
 
@@ -70,6 +70,12 @@ def l2_penalty(params: list[Tensor], coefficient: float) -> Tensor:
     if total is None:
         return Tensor(0.0)
     return total * (0.5 * coefficient)
+
+
+def _constant(value: np.ndarray | Tensor, like: Tensor) -> np.ndarray:
+    """A target or weight array in the dtype of the tensor ``like``."""
+    data = value.data if isinstance(value, Tensor) else value
+    return np.asarray(data, dtype=like.data.dtype)
 
 
 def _reduce(loss: Tensor, reduction: str) -> Tensor:

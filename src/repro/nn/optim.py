@@ -5,7 +5,8 @@ An optimiser packs its parameters into one contiguous buffer: each
 step's gradients, so an update, the gradient clip and the L2 penalty's
 gradient are each one vectorised pass into preallocated scratch.  Every
 pass does the per-parameter arithmetic of the textbook update in the same
-order, so the bytes are those of updating one parameter at a time.
+order, so the bytes are those of updating one parameter at a time.  The
+buffers and the update arithmetic are in the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ class Optimizer:
         self.weight_decay = weight_decay
         bounds = np.cumsum([0, *(p.data.size for p in self.params)]).tolist()
         self._spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._flat = np.concatenate([np.zeros(0), *(p.data.ravel() for p in self.params)])
+        # The buffers take the parameters' dtype, so float32 parameters
+        # update in float32 with no wider temporary.
+        dtype = np.result_type(np.float32, *(p.data.dtype for p in self.params))
+        self._flat = np.concatenate([np.zeros(0, dtype), *(p.data.ravel() for p in self.params)])
         for p, span in zip(self.params, self._spans):
             # The one sanctioned .data write: the parameter becomes a view
             # of the packed buffer, same values and shape.
@@ -42,7 +46,7 @@ class Optimizer:
         self._grad_views = [
             self._grads[span].reshape(p.data.shape) for p, span in zip(self.params, self._spans)
         ]
-        self._scratch = np.empty((2, len(self._flat)))
+        self._scratch = np.empty((2, len(self._flat)), dtype=dtype)
         self._held: list[np.ndarray] = []
 
     def zero_grad(self) -> None:

@@ -7,6 +7,12 @@ wraps a ``numpy.ndarray`` and records the operations applied to it; a
 call to :meth:`Tensor.backward` walks the recorded graph in reverse
 topological order and accumulates gradients.
 
+A tensor keeps the floating dtype of its data (anything else becomes
+float64), and its gradient has that dtype too.  A constant operand (a
+number or an array) takes the dtype of the tensor it meets, so a float32
+graph stays float32: the compute dtype follows the parameters, and each
+model casts its inputs to it where they enter.
+
 Broadcasting follows numpy semantics; gradients flowing into a
 broadcast operand are summed over the broadcast axes so shapes always
 match the forward values.
@@ -43,10 +49,15 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
-def _as_array(value: "Tensor | np.ndarray | float | int | list") -> np.ndarray:
+def _as_array(
+    value: "Tensor | np.ndarray | float | int | list", dtype: np.dtype | None = None
+) -> np.ndarray:
+    """A tensor's data, or a constant as an array of ``dtype`` (default:
+    its own floating dtype, else float64)."""
     if isinstance(value, Tensor):
         return value.data
-    return np.asarray(value, dtype=np.float64)
+    array = np.asarray(value, dtype=dtype)
+    return array if array.dtype.kind == "f" else array.astype(np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -70,7 +81,8 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like forward value; stored as ``float64``.
+        Array-like forward value; a floating array keeps its dtype,
+        anything else is stored as ``float64``.
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad`.
     """
@@ -85,7 +97,7 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -145,6 +157,10 @@ class Tensor:
             out._backward = backward
         return out
 
+    def _operand(self, other: "Tensor | float | np.ndarray") -> "Tensor":
+        """``other`` as a Tensor; a constant takes this tensor's dtype."""
+        return other if isinstance(other, Tensor) else Tensor(_as_array(other, self.data.dtype))
+
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Add ``grad`` into :attr:`grad`.
 
@@ -156,10 +172,10 @@ class Tensor:
         corrupt them.
         """
         if self.grad is None:
-            if owned and grad.dtype == np.float64:
+            if owned and grad.dtype == self.data.dtype:
                 self.grad = grad
             else:
-                self.grad = grad.astype(np.float64, copy=True)
+                self.grad = grad.astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -176,7 +192,7 @@ class Tensor:
                 )
             grad = np.ones_like(self.data)
             owned = True
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
             grad = np.broadcast_to(grad, self.data.shape).copy()
             owned = True
@@ -207,7 +223,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: "Tensor | float | np.ndarray") -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
+        other_t = self._operand(other)
         out_data = self.data + other_t.data
 
         def backward(grad: np.ndarray) -> None:
@@ -234,7 +250,7 @@ class Tensor:
     def __sub__(self, other: "Tensor | float | np.ndarray") -> "Tensor":
         # A single fused node (not neg + add): one graph node and no
         # intermediate -other temporary on the forward pass.
-        other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
+        other_t = self._operand(other)
         out_data = self.data - other_t.data
 
         def backward(grad: np.ndarray) -> None:
@@ -247,10 +263,10 @@ class Tensor:
         return Tensor._make(out_data, (self, other_t), backward)
 
     def __rsub__(self, other: "float | np.ndarray") -> "Tensor":
-        return Tensor(_as_array(other)) - self
+        return self._operand(other) - self
 
     def __mul__(self, other: "Tensor | float | np.ndarray") -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
+        other_t = self._operand(other)
         out_data = self.data * other_t.data
 
         def backward(grad: np.ndarray) -> None:
@@ -268,7 +284,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Tensor | float | np.ndarray") -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
+        other_t = self._operand(other)
         out_data = self.data / other_t.data
 
         def backward(grad: np.ndarray) -> None:
@@ -285,7 +301,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other_t), backward)
 
     def __rtruediv__(self, other: "float | np.ndarray") -> "Tensor":
-        return Tensor(_as_array(other)) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -299,7 +315,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other: "Tensor | np.ndarray") -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
+        other_t = self._operand(other)
         out_data = self.data @ other_t.data
 
         # Gradients are implemented per dimensionality case; the 1-D edge
@@ -397,7 +413,7 @@ class Tensor:
             mask = self.data == out
             # Split gradient evenly among ties so the op stays well defined.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * g / counts, owned=True)
+            self._accumulate(mask * g / counts.astype(g.dtype), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -459,7 +475,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * np.where(mask, 1.0, negative_slope), owned=True)
+                self._accumulate(np.where(mask, grad, grad * negative_slope), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 

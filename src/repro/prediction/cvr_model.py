@@ -87,7 +87,7 @@ class CVRModel(Module):
         outputs = []
         with no_grad():
             for start in range(0, len(features), batch_size):
-                chunk = Tensor(features[start : start + batch_size])
+                chunk = Tensor(features[start : start + batch_size].astype(self.dtype))
                 outputs.append(self(chunk).sigmoid().data)
         self.train()
         return np.concatenate(outputs) if outputs else np.zeros(0)
@@ -102,8 +102,7 @@ def train_cvr_model(
     """Fit a :class:`CVRModel` on (features, labels) with Eq. 7's loss."""
     config = config or CVRTrainConfig()
     rng = ensure_rng(rng)
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    features, labels = np.asarray(features), np.asarray(labels)
     if len(features) != len(labels):
         raise ValueError("features and labels must align")
     if len(features) == 0:
@@ -115,6 +114,9 @@ def train_cvr_model(
         dropout=config.dropout,
         rng=derive_rng(rng, 1),
     )
+    # The design matrix and labels enter in the parameters' dtype.
+    features = features.astype(model.dtype, copy=False)
+    labels = labels.astype(model.dtype, copy=False)
     optimizer = build_optimizer(
         config.optimizer, model.parameters(), config.learning_rate
     )

@@ -113,12 +113,14 @@ class DIN(Module):
         # Masked softmax over the history axis.
         att_logits = att_logits + np.where(mask, 0.0, -1e9)
         shifted = att_logits - att_logits.max(axis=1, keepdims=True).detach().data
-        exp = shifted.exp() * mask.astype(float)
+        exp = shifted.exp() * mask
         denom = exp.sum(axis=1, keepdims=True) + 1e-12
         weights = exp / denom  # (n, h)
 
         interest = (hist_emb * weights.reshape(n, h, 1)).sum(axis=1)  # (n, d)
-        top_in = concat([interest, cand_emb, Tensor(side_features)], axis=-1)
+        # Side features enter in the parameters' dtype.
+        side = Tensor(np.asarray(side_features, dtype=self.dtype))
+        top_in = concat([interest, cand_emb, side], axis=-1)
         return self.top(top_in).reshape(-1)
 
     def predict_proba(

@@ -96,11 +96,12 @@ class NGCF(Module):
         d = cfg.embedding_dim
         init = derive_rng(rng, 1)
         self.embeddings = Parameter(
-            init.normal(scale=0.1, size=(total, d)), name="ego_embeddings"
+            init.normal(scale=0.1, size=(total, d)).astype(np.float32), name="ego_embeddings"
         )
         self.w1 = [Linear(d, d, rng=derive_rng(rng, 10 + l)) for l in range(cfg.num_layers)]
         self.w2 = [Linear(d, d, rng=derive_rng(rng, 20 + l)) for l in range(cfg.num_layers)]
-        self._laplacian = self._build_laplacian(graph)
+        # The Laplacian enters in the parameters' dtype.
+        self._laplacian = self._build_laplacian(graph).astype(self.dtype)
 
     @staticmethod
     def _build_laplacian(graph: BipartiteGraph) -> np.ndarray:

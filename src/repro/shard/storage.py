@@ -117,14 +117,15 @@ def allocate_block(path: str | Path, dtype: np.dtype, shape: tuple[int, ...]) ->
 
 
 class MappedMatrix:
-    """A float64 matrix file and its one mapping: the on-disk step
-    matrices that the tasks of out-of-core ``embed_all`` read and write."""
+    """A matrix file of the caller's ``dtype`` and its one mapping: the
+    on-disk step matrices that the tasks of out-of-core ``embed_all`` read
+    and write."""
 
     def __init__(
-        self, path: str | Path, shape: tuple[int, ...], mode: str = "r"
+        self, path: str | Path, shape: tuple[int, ...], dtype: np.dtype, mode: str = "r"
     ) -> None:
-        self.path, self.shape = str(path), tuple(shape)
-        self.array = open_block(self.path, np.float64, self.shape, mode=mode)
+        self.path, self.shape, self.dtype = str(path), tuple(shape), np.dtype(dtype)
+        self.array = open_block(self.path, self.dtype, self.shape, mode=mode)
 
 
 def write_block(path: str | Path, array: np.ndarray, dtype: np.dtype) -> int:

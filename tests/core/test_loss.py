@@ -6,6 +6,8 @@ import pytest
 from repro.core.loss import EdgeSimilarityHead, bipartite_graph_loss, _repeat_rows
 from repro.nn.gradcheck import check_gradient
 from repro.nn.tensor import Tensor
+from tests.float64 import float64
+from tests.oracles import head_tensor_ops
 
 
 def _embeddings(n, d=6, seed=0):
@@ -130,3 +132,67 @@ class TestRepeatRows:
         t = _embeddings(4, 3)
         weights = Tensor(np.random.default_rng(5).normal(size=(12, 3)))
         check_gradient(lambda: (_repeat_rows(t, 3) * weights).tanh().sum(), [t])
+
+
+class TestSplitHead:
+    """The split-first-layer head node against the Tensor-composed head
+    over ``CONCAT(z_u, z_i, w)`` (``tests/oracles.py``), in float64."""
+
+    def _inputs(self, batch=5, q_u=3, q_i=2, d=6):
+        return (
+            _embeddings(batch, d),
+            _embeddings(batch, d, seed=1),
+            np.random.default_rng(9).integers(1, 20, size=batch).astype(float),
+            _embeddings(batch * q_u, d, seed=2),
+            _embeddings(batch * q_i, d, seed=3),
+        )
+
+    @pytest.mark.parametrize("mode", ["mlp", "hybrid"])
+    @pytest.mark.parametrize("q", [(3, 2), (0, 4), (1, 0), (0, 0)])
+    def test_matches_tensor_oracle(self, mode, q):
+        head = float64(EdgeSimilarityHead(6, hidden=(7, 4), mode=mode, rng=0))
+        zu, zi, w, znu, zni = self._inputs(q_u=q[0], q_i=q[1])
+        inputs = [zu, zi, znu, zni]
+        upstream = np.random.default_rng(4).normal(size=len(zu) * (1 + sum(q)))
+
+        def run(fn):
+            for t in [*inputs, *head.parameters()]:
+                t.zero_grad()
+            out = fn()
+            out.backward(upstream)
+            grads = [t.grad.copy() for t in [*inputs, *head.parameters()] if t.grad is not None]
+            return out.data, grads
+
+        got, got_grads = run(lambda: head.score(zu, zi, w, znu, zni, gamma=0.5))
+        want, want_grads = run(lambda: head_tensor_ops(head, zu, zi, w, znu, zni, 0.5))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert len(got_grads) == len(want_grads)
+        for g, h in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, h, rtol=1e-11, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["mlp", "hybrid"])
+    def test_gradcheck_through_loss(self, mode):
+        head = float64(EdgeSimilarityHead(4, mode=mode, rng=0))
+        zu, zi, w, znu, zni = self._inputs(batch=3, q_u=2, q_i=1, d=4)
+
+        def loss():
+            return bipartite_graph_loss(
+                head, zu, zi, w, znu, zni, gamma=1.0, q_user_weight=2.0, q_item_weight=1.0
+            )
+
+        check_gradient(loss, [zu, zi, znu, zni, *head.parameters()])
+
+    def test_negatives_must_tile_the_batch(self):
+        head = EdgeSimilarityHead(6, rng=0)
+        zu, zi, w, znu, zni = self._inputs()
+        with pytest.raises(ValueError, match="tile"):
+            head.score(zu, zi, w, _embeddings(7), zni, gamma=1.0)
+
+    def test_state_dict_names_unchanged(self):
+        head = EdgeSimilarityHead(6, rng=0)
+        assert sorted(head.state_dict()) == [
+            "net.net.layers.0.bias",
+            "net.net.layers.0.weight",
+            "net.net.layers.2.bias",
+            "net.net.layers.2.weight",
+        ]

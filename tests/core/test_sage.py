@@ -11,6 +11,7 @@ from repro.nn.gradcheck import check_gradient
 from repro.nn.layers import _ACTIVATIONS
 from repro.streaming import StreamingEmbedder
 from repro.utils.config import SageConfig
+from tests.float64 import float64
 
 
 @pytest.fixture()
@@ -139,7 +140,7 @@ class TestGradients:
         # vertex, slot), so every call of the forward draws the same.
         g = random_bipartite(4, 4, 12, feature_dim=3, rng=0)
         cfg = SageConfig(embedding_dim=4, num_steps=1, neighbor_samples=(4,))
-        mod = BipartiteGraphSAGE(3, 3, cfg, rng=0)
+        mod = float64(BipartiteGraphSAGE(3, 3, cfg, rng=0))
 
         def loss():
             z = mod.embed_users(g, np.arange(4))

@@ -99,8 +99,8 @@ class TestTraining:
     @pytest.mark.parametrize(
         "graph_seed, model_seed, trainer_seed, want",
         [
-            (0, 0, 0, ["0x1.05b04a19d2960p+3", "0x1.da6133d9d0440p+2", "0x1.b106314f4c506p+2"]),
-            (4, 1, 9, ["0x1.30435d4b5279cp+3", "0x1.0f66bee9a3fdep+3", "0x1.e2ac658e8620ap+2"]),
+            (0, 0, 0, ["0x1.05b04bdb9f333p+3", "0x1.da6136d54199ap+2", "0x1.b10632ef7199ap+2"]),
+            (4, 1, 9, ["0x1.30435ee96e666p+3", "0x1.0f66c08030ccdp+3", "0x1.e2ac68e58b333p+2"]),
         ],
     )
     def test_seeded_losses_pinned(self, graph_seed, model_seed, trainer_seed, want):
@@ -122,15 +122,15 @@ class TestTraining:
         [
             (
                 {"similarity_head": "mlp"},
-                ["0x1.e0fe08d67a316p+2", "0x1.abf8361814e66p+2", "0x1.801d012f64ca3p+2"],
+                ["0x1.e0fe0ab096666p+2", "0x1.abf8390b9b333p+2", "0x1.801d059a2999ap+2"],
             ),
             (
                 {"similarity_head": "dot"},
-                ["0x1.06e480abddf4ep+3", "0x1.02ec55579e4c1p+3", "0x1.f8f71748d66cbp+2"],
+                ["0x1.06e48132a6666p+3", "0x1.02ec5615f0ccdp+3", "0x1.f8f7185e46666p+2"],
             ),
             (
                 {"shared_space": True},
-                ["0x1.2c0f8400cc32ep+3", "0x1.08dbfb47f6a06p+3", "0x1.d91f1a9b77a0bp+2"],
+                ["0x1.2c0f86021399ap+3", "0x1.08dbfd3894000p+3", "0x1.d91f1e2ce4000p+2"],
             ),
         ],
     )

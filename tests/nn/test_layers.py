@@ -15,6 +15,7 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.tensor import Tensor
+from tests.float64 import float64
 
 
 class TestLinear:
@@ -33,7 +34,7 @@ class TestLinear:
             Linear(0, 3)
 
     def test_gradcheck(self):
-        layer = Linear(3, 2, rng=0)
+        layer = float64(Linear(3, 2, rng=0))
         x = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
         check_gradient(lambda: (layer(x) ** 2.0).sum(), layer.parameters())
 
@@ -64,7 +65,7 @@ class TestMLP:
         assert out.shape == (3, 2)
 
     def test_gradcheck(self):
-        mlp = MLP(3, (4,), 1, activation="tanh", rng=0)
+        mlp = float64(MLP(3, (4,), 1, activation="tanh", rng=0))
         x = Tensor(np.random.default_rng(0).normal(size=(5, 3)))
         check_gradient(lambda: (mlp(x) ** 2.0).sum(), mlp.parameters())
 

@@ -70,7 +70,7 @@ def embed_naive(module, graph: BipartiteGraph, ids, step: int, side: str, key=()
     mask = ids >= 0
     safe = np.where(mask, ids, 0)
     if step == 0:
-        base = module._features(graph, side)[safe].copy()
+        base = module._features(graph, side)[safe].astype(module.dtype)
         base[~mask] = 0.0
         return Tensor(base)
     own_prev = embed_naive(module, graph, ids, step - 1, side, key)
@@ -114,6 +114,33 @@ def mlp_tensor_ops(mlp, x):
             keep = 1.0 - layer.rate
             x = x * ((layer.rng.random(x.shape) < keep) / keep)
     return x
+
+
+def head_tensor_ops(head, z_users, z_items, weights, z_neg_users, z_neg_items, gamma):
+    """The Eq. 5 head ``f`` composed of Tensor ops over ``CONCAT(z_u, z_i,
+    w)``, one 65-wide row per pair, in :meth:`EdgeSimilarityHead.score`'s
+    layout: positives, then negative users against their tiled batch
+    items, then negative items against their tiled batch users.  The
+    split-first-layer node must match it to rounding."""
+    from repro.core.loss import _repeat_rows
+    from repro.nn.tensor import Tensor, concat
+
+    batch, log_gamma = len(z_users), np.log1p(gamma)
+    pairs = [(z_users, z_items, np.log1p(np.asarray(weights, dtype=np.float64)))]
+    if len(z_neg_users):
+        tiled = _repeat_rows(z_items, len(z_neg_users) // batch)
+        pairs.append((z_neg_users, tiled, np.full(len(z_neg_users), log_gamma)))
+    if len(z_neg_items):
+        tiled = _repeat_rows(z_users, len(z_neg_items) // batch)
+        pairs.append((tiled, z_neg_items, np.full(len(z_neg_items), log_gamma)))
+    logits = []
+    for left, right, log_w in pairs:
+        w = Tensor(log_w.astype(left.data.dtype).reshape(-1, 1))
+        out = mlp_tensor_ops(head.net, concat([left, right, w], axis=-1)).reshape(-1)
+        if head.mode == "hybrid":
+            out = (left * right).sum(axis=-1) * head.scale + out
+        logits.append(out)
+    return concat(logits, axis=0)
 
 
 def weighted_sample_loop(sampler, vertices, fanout: int, side: str) -> np.ndarray:

@@ -69,19 +69,19 @@ class TestPinnedLosses:
         [
             (
                 {"dropout": 0.0},
-                ["0x1.bbd7c2d39aa72p-1", "0x1.b17fc939eb673p-1", "0x1.a7d6af6ee1322p-1"],
+                ["0x1.bbd7c42106666p-1", "0x1.b17fcb0466666p-1", "0x1.a7d6b1ec3999ap-1"],
             ),
             (
                 {"dropout": 0.3},
-                ["0x1.c2ff672d8a256p-1", "0x1.bf2ac6c3798b0p-1", "0x1.c227bc79f869dp-1"],
+                ["0x1.c2ff6798d999ap-1", "0x1.bf2ac8099999ap-1", "0x1.c227bd3000000p-1"],
             ),
             (
                 {"optimizer": "sgd", "gradient_clip": 0.5},
-                ["0x1.bf6ac550407cbp-1", "0x1.beab6521dc378p-1", "0x1.bd702bbf5cb2dp-1"],
+                ["0x1.bf6ac55f7999ap-1", "0x1.beab63e380000p-1", "0x1.bd702ba900000p-1"],
             ),
             (
                 {"optimizer": "adagrad", "dropout": 0.2},
-                ["0x1.bcb4ecc9958eap-1", "0x1.b785a14d46d85p-1", "0x1.cb0eb014365dbp-1"],
+                ["0x1.bcb4ed656cccdp-1", "0x1.b785a1a0c6666p-1", "0x1.cb0eb0b400000p-1"],
             ),
         ],
     )

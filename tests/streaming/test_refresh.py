@@ -224,24 +224,24 @@ def _sha256(arrays) -> str:
 
 
 class TestPinnedBytes:
-    """``full_embed`` bytes recorded when draws became per-vertex: a given
-    ``sample_seed`` must keep producing them, so the serving path's
-    embeddings are unchanged."""
+    """``full_embed`` bytes, re-recorded when the compute dtype became
+    float32: a given ``sample_seed`` must keep producing them, so the
+    serving path's embeddings are unchanged."""
 
     @pytest.mark.parametrize(
         "world, model_seed, sample_seed, batch_size, fanouts, aggregator, want",
         [
             (
                 (200, 150, 800, 0), 0, 0, 32, (4, 3), "mean",
-                "3481924527adb7c5868ff7c69b5852beda8668624d97814e4f5d8efeda24d1bf",
+                "3c1d7b7ef6f4bb4b237a0a9e010cc3a5bb7a127bbdec8998c786b854265605ee",
             ),
             (
                 (120, 90, 500, 3), 5, 7, 16, (5, 2), "max",
-                "24330d636105663fc3bed2b9b70dc26c06a22b97f88719378b73a95be68e0c28",
+                "811eb0ddec76de06917273da4f7ec4d51433c4136e88e84127e5add4b379a8e3",
             ),
             (
                 (64, 300, 700, 11), 2, 123, 2048, (3, 3), "sum",
-                "323335f9a2c73f7a9ccdbe71d2983e03ebdac66b74a127ceac15452e70e138c3",
+                "2590e82de8019d37274f160c63c0229dfadea2217fda92dad9a52865473fe7e1",
             ),
         ],
     )
