@@ -559,9 +559,11 @@ class Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable piecewise sigmoid."""
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, -500, None))),
-                    np.exp(np.clip(x, None, 500)) / (1.0 + np.exp(np.clip(x, None, 500))))
+    """Numerically stable piecewise sigmoid: ``1 / (1 + e^-x)`` for
+    ``x >= 0`` and ``e^x / (1 + e^x)`` below, both from ``e^-|x|``, which
+    cannot overflow in float32 either."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _scatter_rows(idx: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
