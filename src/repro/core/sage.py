@@ -415,7 +415,8 @@ class BipartiteGraphSAGE(Module):
         (Algorithm 1).
 
         Rows are in the parameters' dtype.  ``source`` is a
-        ``BipartiteGraph`` (step matrices in RAM; ndarrays come back) or a ``ShardedCSR`` store (out of core: step
+        ``BipartiteGraph`` (step matrices in RAM; ndarrays come back) or
+        a ``ShardedCSR`` store (out of core: step
         matrices double-buffered in memmaps under ``<store>/embed``;
         read-only memmaps come back and stay valid across later calls).
         Neighbours come from the per-vertex counter hash rooted at

@@ -263,16 +263,13 @@ class ShardedCSR:
         dim = self.manifest["feature_dims"][side]
         return None if dim is None else int(dim)
 
-    def feature_path(self, side: str) -> Path:
-        _check_side(side)
-        if self.feature_dim(side) is None:
-            raise ValueError(f"store has no {side} features")
-        return self.path / f"{side}_features.bin"
-
     def features(self, side: str) -> np.ndarray:
         """Read-only memmap of the (n, d) feature matrix for ``side``."""
-        path = self.feature_path(side)  # raises when there are none
-        return open_block(path, _FEATURE_DTYPE, (self.num(side), self.feature_dim(side)))
+        dim = self.feature_dim(side)
+        if dim is None:
+            raise ValueError(f"store has no {side} features")
+        path = self.path / f"{side}_features.bin"
+        return open_block(path, _FEATURE_DTYPE, (self.num(side), dim))
 
     # -- adjacency (the queries BipartiteGraph answers) -------------------
     def _csr(self, side: str) -> _CSR:
